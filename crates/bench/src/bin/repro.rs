@@ -115,7 +115,7 @@ fn main() {
     }
     if want("--table1") {
         section("Table 1 — VPS-level relations");
-        println!("{}", wb.layer.vps.render_table1());
+        println!("{}", wb.layer.vps.shape().render_table1());
     }
     if want("--table2") {
         section("Table 2 — logical-level relations");
@@ -123,7 +123,7 @@ fn main() {
     }
     if want("--table3") {
         section("Table 3 — handles (mandatory | optional)");
-        println!("{}", wb.layer.vps.render_table3());
+        println!("{}", wb.layer.vps.shape().render_table3());
     }
     if want("--fig2") {
         section("Figure 2 — Newsday navigation map");

@@ -12,14 +12,20 @@
 //! What is shared engine-wide and what stays per query is the whole
 //! design:
 //!
-//! * **Shared**: the simulated Web, the compiled site programs
-//!   (`Arc<CompiledSite>`), the [`PageStore`] (fetch+parse once, every
-//!   query hits), the [`AnswerMemo`] (whole-invocation result reuse),
-//!   the per-host connection pools, and the tenant admission tracker.
-//! * **Per query**: the navigator oracles, the VPS catalog, the logical
-//!   layer, the `Obs` handle, and any `QueryBudget` — everything that
-//!   carries query state, so tenants can never observe each other's
-//!   traces, budgets, or degradation.
+//! * **Shared**: the simulated Web; the [`CatalogShape`] (every
+//!   relation's site, schema and handles, the compiled site programs,
+//!   the per-site semantics); the logical definitions
+//!   ([`LogicalDefs`]); the planning index ([`PlanIndex`]); the
+//!   [`PageStore`] (fetch+parse once, every query hits); the
+//!   [`AnswerMemo`] (whole-invocation result reuse); the plan and
+//!   result caches; the per-host connection pools; and the tenant
+//!   admission tracker.
+//! * **Per query**: the VPS catalog over the shape, its navigators, the
+//!   logical layer, the `Obs` handle, and any `QueryBudget` —
+//!   everything that carries query state, so tenants can never observe
+//!   each other's traces, budgets, or degradation. A navigator is built
+//!   only when the query first invokes its site, so a cold query costs
+//!   what its plan touches, not what the corpus holds.
 //!
 //! Multi-tenant admission reuses the navigation layer's max-min
 //! fair-share [`BudgetTracker`] with *tenant names* where hosts
@@ -35,23 +41,22 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use webbase_logical::{LogicalLayer, LogicalRelation, Obs, QueryObservation};
+use webbase_logical::{LogicalDefs, LogicalLayer, Obs, QueryObservation};
 use webbase_navigation::drift::events_from_repairs;
-use webbase_navigation::map::NavigationMap;
 use webbase_navigation::map::NodeId;
 use webbase_navigation::recorder::{MapStats, Recorder};
 use webbase_navigation::store::ReadSet;
 use webbase_navigation::{
-    compile_map, sweep, BudgetDenial, BudgetSnapshot, BudgetTracker, CancelToken, CompiledSite,
-    DegradationReport, DriftBus, DriftEvent, DriftKind, DriftOrigin, FetchPolicy, HostPools,
-    PageStore, QueryBudget, RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
+    sweep, BudgetDenial, BudgetSnapshot, BudgetTracker, CancelToken, DegradationReport, DriftBus,
+    DriftEvent, DriftKind, DriftOrigin, FetchPolicy, HostPools, PageStore, QueryBudget,
+    RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
 };
 use webbase_obs::sync::{SafeMutex, SafeRwLock};
 use webbase_relational::eval::{AccessSpec, Evaluator};
 use webbase_relational::{BaseDelta, Expr, Incremental, Relation};
-use webbase_ur::plan::{UrError, UrPlan, UrPlanner};
+use webbase_ur::plan::{PlanIndex, UrError, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
-use webbase_vps::{derive_handles, AnswerMemo, Handle, MemoClaim, MemoKey, VpsCatalog};
+use webbase_vps::{AnswerMemo, CatalogShape, MemoClaim, MemoKey, VpsCatalog};
 use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
 use webbase_webworld::request::Request;
@@ -340,18 +345,6 @@ pub struct EngineStats {
     pub readset_escape: u64,
 }
 
-struct SiteArtifacts {
-    map: NavigationMap,
-    compiled: Arc<CompiledSite>,
-    /// Handles derived once at build time; sessions reuse them instead
-    /// of re-walking the map graph per query.
-    handles: Vec<Handle>,
-    /// The abstract interpreter's verdict (fetch-cost intervals and
-    /// static read-sets), computed once at build time and handed to
-    /// every session's catalog.
-    semantics: Arc<webbase_webcheck::SiteSemantics>,
-}
-
 /// Everything the engine remembers about one published result-cache
 /// entry, for precise drift invalidation and incremental refresh.
 struct ViewRecord {
@@ -471,6 +464,13 @@ impl PlanSemantics {
     }
 }
 
+/// A plan folded over the catalog shape (see `Engine::fold_plan`).
+struct PlanFold {
+    /// The VPS relations each plan object reads, in plan order.
+    object_rels: Vec<BTreeSet<String>>,
+    semantics: Option<PlanSemantics>,
+}
+
 /// Collect every base relation name an expression mentions.
 fn expr_rel_names(expr: &Expr, out: &mut BTreeSet<String>) {
     match expr {
@@ -492,10 +492,14 @@ struct EngineInner {
     /// The synthetic dataset behind the corpus, when it has one (the
     /// car demo does; generated corpora carry data inside their specs).
     data: Option<Arc<Dataset>>,
-    sites: Vec<SiteArtifacts>,
-    relations: Vec<LogicalRelation>,
+    /// Every site recorded, analysed and compiled once at build time;
+    /// each query's catalog is a view over it.
+    shape: Arc<CatalogShape>,
+    logical: Arc<LogicalDefs>,
     planner: UrPlanner,
-    policy: FetchPolicy,
+    /// The planner's query-independent input, built once from the
+    /// shape and the logical definitions.
+    index: PlanIndex,
     store: PageStore,
     pool: Arc<HostPools>,
     memo: AnswerMemo,
@@ -506,7 +510,8 @@ struct EngineInner {
     /// `UrPlanner::execute_planned`). Traced and isolated runs bypass
     /// it — traced ones so the Plan span is real, isolated ones
     /// because the cache is one of the shared resources the baseline
-    /// must not touch.
+    /// must not touch. Planning happens outside its lock; the write
+    /// lock is held only to insert a finished plan.
     plans: SafeRwLock<HashMap<String, Arc<(UrQuery, UrPlan)>>>,
     /// Whole-query result cache, keyed by query text, with the same
     /// singleflight protocol as the invocation memo: when N identical
@@ -514,7 +519,6 @@ struct EngineInner {
     /// for — and then share — its answer. Only complete answers from
     /// undegraded, unbudgeted, untraced runs are ever published.
     results: AnswerMemo,
-    preflight: webbase_webcheck::Report,
     report: BuildReport,
     /// Static admission gate on/off (see `EngineConfig::static_admission`).
     static_admission: bool,
@@ -589,9 +593,8 @@ impl Engine {
         corpus: crate::corpus::Corpus,
         config: EngineConfig,
     ) -> Result<Engine, WebbaseError> {
-        let mut sites = Vec::new();
+        let mut shape = CatalogShape::new(config.policy);
         let mut stats: Vec<(String, MapStats)> = Vec::new();
-        let mut preflight = webbase_webcheck::Report::new();
         for site in &corpus.sites {
             let mut recorder =
                 Recorder::with_standardizer(web.clone(), &site.host, site.standardizer.clone());
@@ -599,16 +602,19 @@ impl Engine {
                 recorder.apply(action).map_err(|e| WebbaseError::Record(site.host.clone(), e))?;
             }
             let (map, s) = recorder.finish();
-            // The single analysis entry point: lint + program safety +
-            // the abstract interpreter, once per map per build. The
-            // derived semantics ride along in the shared artifacts.
-            let (report, semantics) = webbase_webcheck::analyze_full(&map);
-            preflight.merge(report);
             stats.push((site.host.clone(), s));
-            let compiled = Arc::new(compile_map(&map));
-            let handles = derive_handles(&map);
-            sites.push(SiteArtifacts { map, compiled, handles, semantics: Arc::new(semantics) });
+            // Analysed (lint + program safety + the abstract
+            // interpreter), compiled and handle-derived once per map per
+            // build; every query's catalog shares the result.
+            shape.add_map(web.clone(), map);
         }
+        let shape = Arc::new(shape);
+        let logical = Arc::new(LogicalDefs::new(corpus.relations));
+        let planner = UrPlanner::new(corpus.hierarchy, corpus.rules);
+        let index = planner.index(&LogicalLayer::over(
+            VpsCatalog::over(shape.clone(), PageStore::new(), None),
+            logical.clone(),
+        ));
         let store = match config.page_capacity {
             Some(cap) => PageStore::with_capacity(cap),
             None => PageStore::new(),
@@ -636,17 +642,16 @@ impl Engine {
             inner: Arc::new(EngineInner {
                 web,
                 data: corpus.data,
-                sites,
-                relations: corpus.relations,
-                planner: UrPlanner::new(corpus.hierarchy, corpus.rules),
-                policy: config.policy,
+                shape,
+                logical,
+                planner,
+                index,
                 store,
                 pool: Arc::new(HostPools::new(config.per_host_connections)),
                 memo: AnswerMemo::new(),
                 admission: config.admission.map(EngineAdmission::new),
                 plans: SafeRwLock::new(HashMap::new()),
                 results: AnswerMemo::new(),
-                preflight,
                 report: BuildReport { sites: stats },
                 static_admission: config.static_admission,
                 static_denials: SafeMutex::new(DegradationReport::default()),
@@ -677,21 +682,21 @@ impl Engine {
             }
         });
         // Settled results re-enter the cache alongside a fresh plan
-        // (planning is pure metadata work — no fetches — so the replay
-        // stays network-free). A record whose query no longer parses or
-        // plans is dropped like a torn one.
+        // (planning is pure metadata work against the shape — no
+        // navigator, no fetch — so the replay stays network-free). A
+        // record whose query no longer parses or plans is dropped like
+        // a torn one.
         let mut recovered_results = 0u64;
         let mut torn = recovery.torn;
+        let (planning, _) = engine.session(true);
         for (text, relation, deps) in &recovery.results {
             let replay = parse_query(text).ok().and_then(|base| {
-                let layer = engine.new_session();
-                engine.inner.planner.plan(&base, &layer).ok().map(|plan| {
+                let plan = engine.inner.planner.plan_with(&base, &planning, &engine.inner.index);
+                plan.ok().map(|plan| {
                     // Re-seed the ledger's static-host stamps from the
                     // replayed plan — the journal does not carry them.
-                    let hosts = Engine::plan_semantics(&plan, &layer)
-                        .map(|s| s.hosts())
-                        .unwrap_or_default();
-                    (base, plan, hosts)
+                    let hosts = engine.fold_plan(&plan).semantics.map(|s| s.hosts());
+                    (base, plan, hosts.unwrap_or_default())
                 })
             });
             match replay {
@@ -727,61 +732,32 @@ impl Engine {
         Ok(engine)
     }
 
-    /// A fresh per-query session over the shared artifacts: private
-    /// navigators and catalog, shared compiled programs, page store,
-    /// connection pools, and answer memo.
-    fn new_session(&self) -> LogicalLayer {
-        self.session_with(
-            self.inner.store.clone(),
-            Some(self.inner.pool.clone()),
-            Some(self.inner.memo.clone()),
-        )
-    }
-
-    /// A session that shares *nothing* mutable: private page store, no
-    /// memo, no pools — the pre-engine single-owner cost model. The
-    /// load generator's serial baseline and the concurrency tests'
-    /// byte-identity oracle run here.
-    fn isolated_session(&self) -> LogicalLayer {
-        self.session_with(PageStore::new(), None, None)
-    }
-
-    /// A shared session whose page reads are recorded: the [`ReadSet`]
-    /// is the provenance the freshness ledger stores with published
-    /// results, so drift can invalidate exactly the dependent entries.
-    fn tracked_session(&self) -> (LogicalLayer, ReadSet) {
-        let reads = ReadSet::new();
-        let store = self.inner.store.tracked(reads.clone());
-        let mut layer =
-            self.session_with(store, Some(self.inner.pool.clone()), Some(self.inner.memo.clone()));
-        layer.vps.set_reads(reads.clone());
-        (layer, reads)
-    }
-
-    fn session_with(
-        &self,
-        store: PageStore,
-        pool: Option<Arc<HostPools>>,
-        memo: Option<AnswerMemo>,
-    ) -> LogicalLayer {
+    /// The one per-query session constructor: a logical layer over the
+    /// shared shape and definitions whose catalog builds a site's
+    /// navigator only when the query first invokes that site, so a
+    /// session used only for planning builds none.
+    ///
+    /// A shared session reads through the engine's page store, pools
+    /// and answer memo, and records every page it reads in the returned
+    /// [`ReadSet`] — the provenance the freshness ledger stores with
+    /// published results. An isolated session shares *nothing*
+    /// mutable: a private page store, no memo, no pools, and its read
+    /// set stays empty — the single-owner cost model that the load
+    /// generator's serial baseline and the concurrency tests'
+    /// byte-identity oracle run on.
+    fn session(&self, isolated: bool) -> (LogicalLayer, ReadSet) {
         let inner = &self.inner;
-        let mut catalog = VpsCatalog::new();
-        for site in &inner.sites {
-            catalog.add_map_compiled(
-                inner.web.clone(),
-                site.map.clone(),
-                site.compiled.clone(),
-                &site.handles,
-                site.semantics.clone(),
-                inner.policy,
-                store.clone(),
-                pool.clone(),
-            );
-        }
-        if let Some(memo) = memo {
-            catalog.set_memo(memo);
-        }
-        LogicalLayer::new(catalog, inner.relations.clone())
+        let reads = ReadSet::new();
+        let vps = if isolated {
+            VpsCatalog::over(inner.shape.clone(), PageStore::new(), None)
+        } else {
+            let store = inner.store.tracked(reads.clone());
+            let mut vps = VpsCatalog::over(inner.shape.clone(), store, Some(inner.pool.clone()));
+            vps.set_memo(inner.memo.clone());
+            vps.set_reads(reads.clone());
+            vps
+        };
+        (LogicalLayer::over(vps, inner.logical.clone()), reads)
     }
 
     /// Parse and execute one UR query as `tenant`.
@@ -859,7 +835,7 @@ impl Engine {
         let cancel = options.cancel.clone().unwrap_or_default();
         let _inflight = if isolated { None } else { Some(InflightGuard::register(inner, &cancel)) };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.run_admitted(text, &q, &options, isolated, &cancel, cached.as_deref())
+            self.run_admitted(text, &q, &options, isolated, &cancel, cached)
         }));
         // The tenant consumed its admission whether the query
         // succeeded, failed, or panicked — the slot was held either
@@ -891,7 +867,7 @@ impl Engine {
     }
 
     /// Everything that runs *inside* the panic domain: singleflight
-    /// claim, session build, execution, publication.
+    /// claim, session build, planning, execution, publication.
     fn run_admitted(
         &self,
         text: &str,
@@ -899,7 +875,7 @@ impl Engine {
         options: &QueryOptions,
         isolated: bool,
         cancel: &CancelToken,
-        cached: Option<&(UrQuery, UrPlan)>,
+        cached: Option<Arc<(UrQuery, UrPlan)>>,
     ) -> Result<QueryOutcome, EngineError> {
         let inner = &self.inner;
         // Whole-query singleflight over the result cache: when N
@@ -938,14 +914,7 @@ impl Engine {
         } else {
             None
         };
-        let mut reads = None;
-        let mut layer = if isolated {
-            self.isolated_session()
-        } else {
-            let (layer, r) = self.tracked_session();
-            reads = Some(r);
-            layer
-        };
+        let (mut layer, reads) = self.session(isolated);
         let obs = if options.trace {
             Obs::full()
         } else {
@@ -953,6 +922,37 @@ impl Engine {
         };
         layer.vps.set_obs(obs.clone());
         layer.vps.set_cancel(cancel.clone());
+        // The plan this run executes. A traced run plans inside its own
+        // span tree, and a resumed run re-plans privately so its partial
+        // provenance never touches the shared caches; both do so during
+        // execution below. Every other run executes a stored plan: the
+        // cached one, or one planned here and published as soon as it
+        // exists, so concurrent same-text runs stop re-planning. Planning
+        // is pure metadata work over the shape and runs *outside* the
+        // plan cache's lock, which is taken only to insert — the first
+        // insert wins. Isolated runs keep their plan to themselves.
+        let stored = if options.trace || options.resume.is_some() {
+            None
+        } else {
+            Some(match cached {
+                Some(entry) => entry,
+                None => {
+                    // Plan the *base* query: a budget on `q` must not
+                    // leak into the shared cache.
+                    let base = UrQuery { budget: None, ..q.clone() };
+                    let plan = inner
+                        .planner
+                        .plan_with(&base, &layer, &inner.index)
+                        .map_err(EngineError::Plan)?;
+                    let entry = Arc::new((base, plan));
+                    if isolated {
+                        entry
+                    } else {
+                        inner.plans.write().entry(text.to_string()).or_insert(entry).clone()
+                    }
+                }
+            })
+        };
         // Static admission (opt-in): when the abstract interpreter
         // proves the plan cannot complete within the budget's fetch
         // quota, deny *before any fetch* — planning and the fold over
@@ -961,17 +961,16 @@ impl Engine {
         // cold-store lower bound does not apply to them.
         if !isolated && inner.static_admission && options.resume.is_none() {
             if let Some(quota) = options.budget.as_ref().and_then(|b| b.max_fetches) {
-                let planned;
-                let plan_ref = match cached {
+                // Only a traced run reaches here without a stored plan.
+                let traced_plan;
+                let plan = match &stored {
                     Some(entry) => Some(&entry.1),
                     None => {
-                        planned = parse_query(text)
-                            .ok()
-                            .and_then(|b| inner.planner.plan(&b, &layer).ok());
-                        planned.as_ref()
+                        traced_plan = inner.planner.plan_with(q, &layer, &inner.index).ok();
+                        traced_plan.as_ref()
                     }
                 };
-                if let Some(semantics) = plan_ref.and_then(|p| Self::plan_semantics(p, &layer)) {
+                if let Some(semantics) = plan.and_then(|p| self.fold_plan(p).semantics) {
                     if semantics.cost.min > quota {
                         inner.drift_metrics.inc(Metric::StaticDenied);
                         let mut denials = inner.static_denials.lock();
@@ -986,70 +985,28 @@ impl Engine {
                 }
             }
         }
-        // Plan before executing so the cache is populated as soon as
-        // the plan exists — not after the first execution finishes.
-        // Under a concurrent cold start every same-text query would
-        // otherwise re-plan redundantly for the whole duration of the
-        // first run. Planning is pure metadata work (no fetches), so
-        // double-checked re-reads under the write lock are cheap.
-        let out: Result<(Relation, UrPlan), EngineError> = if options.resume.is_some() {
-            // A resumed run preloads its token's journal and re-plans
-            // privately — its partial provenance must not touch the
-            // shared plan or result caches.
-            inner
-                .planner
-                .execute_with(q, &mut layer, options.resume.as_ref())
-                .map_err(EngineError::Plan)
-        } else {
-            match cached {
-                Some(entry) => inner
-                    .planner
-                    .execute_planned(q, &entry.1, &mut layer)
-                    .map_err(EngineError::Plan),
-                None if !isolated && !options.trace => {
-                    let entry = {
-                        let mut plans = inner.plans.write();
-                        match plans.get(text) {
-                            Some(entry) => Ok(entry.clone()),
-                            None => {
-                                // Plan from the *base* parse: a budget on
-                                // `q` must not leak into the shared cache.
-                                parse_query(text).map_err(EngineError::Query).and_then(|base| {
-                                    inner
-                                        .planner
-                                        .plan(&base, &layer)
-                                        .map_err(EngineError::Plan)
-                                        .map(|plan| {
-                                            let entry = Arc::new((base, plan));
-                                            plans.insert(text.to_string(), entry.clone());
-                                            entry
-                                        })
-                                })
-                            }
-                        }
-                    };
-                    entry.and_then(|entry| {
-                        inner
-                            .planner
-                            .execute_planned(q, &entry.1, &mut layer)
-                            .map_err(EngineError::Plan)
-                    })
-                }
-                None => inner.planner.execute(q, &mut layer).map_err(EngineError::Plan),
-            }
-        };
-        let (relation, plan) = out?;
+        let (relation, plan) = match &stored {
+            Some(entry) => inner.planner.execute_planned(q, &entry.1, &mut layer),
+            None => inner.planner.execute_with_index(
+                q,
+                &mut layer,
+                &inner.index,
+                options.resume.as_ref(),
+            ),
+        }
+        .map_err(EngineError::Plan)?;
+        // One fold of the executed plan over the shape serves both the
+        // read-set tripwire and the freshness ledger.
+        let fold = (!isolated).then(|| self.fold_plan(&plan));
         // Soundness tripwire: every page this run read must fall inside
         // the plan's static read-set (host granularity — the static set
         // over-approximates, so an escape is an analysis bug, not
         // drift). Memo-replayed deps come from the same relations, so
         // they are covered too.
-        if let Some(reads) = &reads {
-            if let Some(semantics) = Self::plan_semantics(&plan, &layer) {
-                let hosts = semantics.hosts();
-                if reads.all().iter().any(|r| !hosts.contains(&r.url.host)) {
-                    inner.drift_metrics.inc(Metric::ReadsetEscape);
-                }
+        if let Some(semantics) = fold.as_ref().and_then(|f| f.semantics.as_ref()) {
+            let hosts = semantics.hosts();
+            if reads.all().iter().any(|r| !hosts.contains(&r.url.host)) {
+                inner.drift_metrics.inc(Metric::ReadsetEscape);
             }
         }
         // Self-healing quarantined a node during this execution: the
@@ -1066,12 +1023,11 @@ impl Engine {
         // resumable run must not be replayed to other tenants as the
         // full result. (An error return above drops the guard instead,
         // releasing the key so a waiting session takes over as leader.)
-        if let Some(guard) = result_lead {
+        if let (Some(guard), Some(fold)) = (result_lead, fold) {
             let publish =
                 (plan.degradation.is_clean() && plan.resume.is_none()).then(|| relation.clone());
             if let Some(rel) = &publish {
-                let deps = reads.as_ref().map(ReadSet::all).unwrap_or_default();
-                self.record_view(text, rel, &plan, &layer, deps);
+                self.record_view(text, rel, &plan, &layer, reads.all(), fold);
             }
             guard.settle(publish);
         }
@@ -1117,19 +1073,22 @@ impl Engine {
         Some(relation)
     }
 
-    /// The VPS relations each plan object reads, resolved through the
-    /// layer's logical definitions (an object can also name a VPS
-    /// relation directly). Shared by the freshness ledger's provenance
-    /// and the abstract interpreter's plan-level fold.
-    fn plan_vps_rels(plan: &UrPlan, layer: &LogicalLayer) -> Vec<BTreeSet<String>> {
-        plan.objects
+    /// Fold a plan over the shape: the VPS relations each plan object
+    /// reads, resolved through the logical definitions (an object can
+    /// also name a VPS relation directly), and the plan-level static
+    /// semantics. Feeds the freshness ledger's provenance, the
+    /// `readset_escape` tripwire, the static admission gate and
+    /// EXPLAIN.
+    fn fold_plan(&self, plan: &UrPlan) -> PlanFold {
+        let object_rels: Vec<BTreeSet<String>> = plan
+            .objects
             .iter()
             .map(|o| {
                 let mut logical = BTreeSet::new();
                 expr_rel_names(&o.expr, &mut logical);
                 let mut vps = BTreeSet::new();
                 for name in &logical {
-                    match layer.relation(name) {
+                    match self.inner.logical.get(name) {
                         Some(def) => expr_rel_names(&def.def, &mut vps),
                         // An object naming a VPS relation directly.
                         None => {
@@ -1139,7 +1098,9 @@ impl Engine {
                 }
                 vps
             })
-            .collect()
+            .collect();
+        let semantics = self.static_semantics(&object_rels);
+        PlanFold { object_rels, semantics }
     }
 
     /// Fold the per-relation semantics up to one whole plan. The lower
@@ -1149,19 +1110,17 @@ impl Engine {
     /// The upper bound sums every (object, relation) occurrence: each
     /// invocation can spend up to its own max. `None` when a relation
     /// lacks stored semantics — nothing sound to gate against.
-    fn plan_semantics(plan: &UrPlan, layer: &LogicalLayer) -> Option<PlanSemantics> {
+    fn static_semantics(&self, object_rels: &[BTreeSet<String>]) -> Option<PlanSemantics> {
         let mut spines: BTreeMap<String, BTreeSet<NodeId>> = BTreeMap::new();
         let mut read: BTreeMap<String, BTreeSet<NodeId>> = BTreeMap::new();
         let mut max = webbase_webcheck::Bound::Finite(0);
-        for rels in Self::plan_vps_rels(plan, layer) {
-            for name in &rels {
-                let site = layer.vps.relation_site(name)?;
-                let sem = site.relation(name)?;
-                let host = site.host.clone();
-                spines.entry(host.clone()).or_default().extend(sem.spine_nodes.iter().copied());
-                read.entry(host).or_default().extend(sem.read_nodes.iter().copied());
-                max = max.join_add(sem.cost.max);
-            }
+        for name in object_rels.iter().flatten() {
+            let site = self.inner.shape.relation_site(name)?;
+            let sem = site.relation(name)?;
+            let host = site.host.clone();
+            spines.entry(host.clone()).or_default().extend(sem.spine_nodes.iter().copied());
+            read.entry(host).or_default().extend(sem.read_nodes.iter().copied());
+            max = max.join_add(sem.cost.max);
         }
         let min = spines.values().map(|s| s.len() as u64).sum();
         Some(PlanSemantics { cost: webbase_webcheck::CostInterval { min, max }, read })
@@ -1178,10 +1137,10 @@ impl Engine {
         plan: &UrPlan,
         layer: &LogicalLayer,
         deps: Vec<Request>,
+        fold: PlanFold,
     ) {
         let inner = &self.inner;
-        let object_rels = Self::plan_vps_rels(plan, layer);
-        let static_hosts = Self::plan_semantics(plan, layer).map(|s| s.hosts()).unwrap_or_default();
+        let static_hosts = fold.semantics.map(|s| s.hosts()).unwrap_or_default();
         let invocations: Vec<(MemoKey, Vec<Request>)> =
             layer.vps.invocation_log().iter().map(|(k, _, d)| (k.clone(), d.clone())).collect();
         if let Some(wal) = &inner.wal {
@@ -1198,7 +1157,7 @@ impl Engine {
                 epoch,
                 deps,
                 object_results: plan.object_results.clone(),
-                object_rels,
+                object_rels: fold.object_rels,
                 invocations,
                 pending: HashSet::new(),
                 pending_host_wide: false,
@@ -1371,7 +1330,7 @@ impl Engine {
         // entries drift touched are already evicted, so this re-runs
         // exactly the affected invocations — against the refreshed
         // store — and memo-hits the rest.
-        let (mut layer, reads) = self.tracked_session();
+        let (mut layer, reads) = self.session(false);
         layer.vps.set_obs(Obs::metrics_only(Arc::new(MetricsRegistry::new())));
         match inner.planner.execute_planned(query, plan, &mut layer) {
             Ok((relation, executed)) if executed.degradation.is_clean() => {
@@ -1380,7 +1339,8 @@ impl Engine {
                 // before this view re-publishes at the bumped epoch.
                 self.publish_quarantines(&executed.repairs);
                 inner.results.insert(AnswerMemo::key(text, &[]), relation.clone());
-                self.record_view(text, &relation, &executed, &layer, reads.all());
+                let fold = self.fold_plan(&executed);
+                self.record_view(text, &relation, &executed, &layer, reads.all(), fold);
                 inner.drift_metrics.inc(Metric::ColdRefresh);
                 RefreshOutcome::Cold
             }
@@ -1418,7 +1378,7 @@ impl Engine {
         old_deps: Vec<Request>,
     ) -> Option<RefreshOutcome> {
         let inner = &self.inner;
-        let (mut layer, reads) = self.tracked_session();
+        let (mut layer, reads) = self.session(false);
         layer.vps.set_obs(Obs::metrics_only(Arc::new(MetricsRegistry::new())));
         let mut new_objects = old_objects.to_vec();
         for &i in affected {
@@ -1565,15 +1525,20 @@ impl Engine {
 
     /// [`Engine::explain`] plus the abstract interpreter's plan-level
     /// verdict (`None` only if a plan relation lacks stored semantics,
-    /// which loaded maps never do). Still fetch-free.
+    /// which loaded maps never do). Still fetch-free, and it builds no
+    /// navigator: planning reads only the shape.
     pub fn explain_semantics(
         &self,
         text: &str,
     ) -> Result<(UrPlan, Option<PlanSemantics>), EngineError> {
         let q = parse_query(text).map_err(EngineError::Query)?;
-        let layer = self.new_session();
-        let plan = self.inner.planner.plan(&q, &layer).map_err(EngineError::Plan)?;
-        let semantics = Self::plan_semantics(&plan, &layer);
+        let (layer, _) = self.session(true);
+        let plan = self
+            .inner
+            .planner
+            .plan_with(&q, &layer, &self.inner.index)
+            .map_err(EngineError::Plan)?;
+        let semantics = self.fold_plan(&plan).semantics;
         Ok((plan, semantics))
     }
 
@@ -1656,12 +1621,12 @@ impl Engine {
 
     /// The accumulated build-time webcheck findings.
     pub fn preflight(&self) -> &webbase_webcheck::Report {
-        &self.inner.preflight
+        self.inner.shape.preflight()
     }
 
     /// The UR's attribute list.
     pub fn ur_attributes(&self) -> Vec<String> {
-        self.inner.planner.ur_attributes(&self.new_session())
+        self.inner.index.attributes().to_vec()
     }
 }
 
@@ -1808,6 +1773,11 @@ mod tests {
             .query("tight", q, QueryOptions::budgeted(QueryBudget::unlimited().with_fetch_quota(2)))
             .expect("budgeted runs return partials");
         assert!(out.plan.resume.is_some(), "a cold 2-fetch quota cannot finish the ford query");
+        // Navigators are built only for the sites the plan invokes, but
+        // every corpus host still holds a fair-share floor.
+        let spend = out.plan.budget.expect("budgeted runs snapshot their spend");
+        let hosts: Vec<&String> = cold.report().sites.iter().map(|(host, _)| host).collect();
+        assert_eq!(spend.sites.keys().collect::<BTreeSet<_>>(), hosts.into_iter().collect());
 
         // Warm engine: a full run seeds both the memo and the page
         // store. A budgeted repeat must not consult the memo — but the
@@ -2327,5 +2297,86 @@ mod tests {
         let stats = second.stats();
         assert_eq!(stats.journal_recovered_results, 0, "stale result resurrected: {stats:?}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    // ── plan-scoped sessions and the build-once planning index ────────
+
+    fn generated_engine(sites: usize) -> (Engine, webbase_webworld::generate::GenCorpus) {
+        let gen = webbase_webworld::generate::GenCorpus::generate(11, sites);
+        let corpus = crate::Corpus::generated(&gen);
+        let engine =
+            Engine::build_corpus(gen.web(LatencyModel::zero()), corpus, EngineConfig::default())
+                .expect("the generated corpus builds");
+        (engine, gen)
+    }
+
+    #[test]
+    fn a_cold_query_builds_navigators_only_for_its_plans_hosts() {
+        let (engine, gen) = generated_engine(50);
+        for spec in gen.specs.iter().step_by(7) {
+            let (plan, semantics) =
+                engine.explain_semantics(&spec.exemplar_query()).expect("plans");
+            let hosts = semantics.expect("loaded maps carry semantics").hosts();
+            assert_eq!(hosts.len(), 1, "{}: one site covers its exemplar", spec.host);
+            // The session a cold query runs on: nothing built until the
+            // plan invokes a relation, then exactly the plan's hosts.
+            let (mut layer, _) = engine.session(false);
+            assert!(layer.vps.built_hosts().is_empty(), "a session starts with no navigator");
+            engine.inner.planner.execute_planned(&plan.query, &plan, &mut layer).expect("runs");
+            let built: BTreeSet<&str> = layer.vps.built_hosts().into_iter().collect();
+            assert_eq!(built, hosts.iter().map(String::as_str).collect(), "{}", spec.host);
+        }
+    }
+
+    /// The engine's indexed planning (build-once index over the shape)
+    /// against `UrPlanner::plan` on a freshly recorded single-owner
+    /// stack, for every text.
+    fn assert_plans_agree(engine: &Engine, stack: &crate::corpus::RecordedStack, texts: &[String]) {
+        for text in texts {
+            let q = parse_query(text).expect("parses");
+            let expected = stack.planner.plan(&q, &stack.layer);
+            let expected = expected.map(|p| p.render()).map_err(|e| format!("{e:?}"));
+            let got = match engine.explain(text) {
+                Ok(plan) => Ok(plan.render()),
+                Err(EngineError::Plan(e)) => Err(format!("{e:?}")),
+                Err(other) => panic!("{text}: {other}"),
+            };
+            assert_eq!(got, expected, "{text}");
+        }
+        assert_eq!(engine.ur_attributes(), stack.planner.ur_attributes(&stack.layer));
+    }
+
+    #[test]
+    fn indexed_planning_matches_the_single_owner_planner_on_the_paper_corpus() {
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        let data = engine.data().expect("the demo has data").clone();
+        let stack = crate::Corpus::paper(data).record_stack(engine.web()).expect("records");
+        let texts = [
+            JAGUAR,
+            "UsedCarUR(make='jaguar', model, year >= 1994, price, bbprice, rate, zip='10001', \
+             duration=36, condition='good', payment := price * (1 + rate / 100 * duration / 12) \
+             / duration) WHERE payment < 1000 AND price < bbprice",
+            "UsedCarUR(make='honda', model='civic', year >= 1992, price)",
+            FORD,
+            "UsedCarUR(make='ford', price, rate, cost, zip='10001', duration=36)",
+            // UnknownAttribute, then InsufficientBindings.
+            "UsedCarUR(warp_drive)",
+            "UsedCarUR(make='ford', bbprice)",
+        ];
+        assert_plans_agree(&engine, &stack, &texts.map(String::from));
+    }
+
+    #[test]
+    fn indexed_planning_matches_the_single_owner_planner_on_a_generated_corpus() {
+        let (engine, gen) = generated_engine(50);
+        let stack = crate::Corpus::generated(&gen).record_stack(engine.web()).expect("records");
+        let mut texts: Vec<String> =
+            gen.specs.iter().map(webbase_webworld::generate::SiteSpec::exemplar_query).collect();
+        // Two sites' attributes together: no compatible set covers them.
+        let (a, b) = (&gen.specs[0], &gen.specs[1]);
+        texts.push(format!("GenUR({}, {})", a.attr("item"), b.attr("item")));
+        assert_plans_agree(&engine, &stack, &texts);
+        let not_coverable = engine.explain(texts.last().expect("pushed"));
+        assert!(matches!(not_coverable, Err(EngineError::Plan(UrError::NotCoverable(_)))));
     }
 }

@@ -263,7 +263,8 @@ impl Webbase {
 /// The three-pass analysis over an arbitrary layered stack — any
 /// domain's maps, logical layer, and planner, not only the built-in
 /// used-car webbase ([`Webbase::check`] delegates here). The VPS
-/// catalog and its sites are read out of `layer.vps`.
+/// relations and their sites are read out of `layer.vps`'s shape, so no
+/// navigator is built.
 pub fn check_stack(
     maps: &[NavigationMap],
     layer: &LogicalLayer,
@@ -275,19 +276,19 @@ pub fn check_stack(
     for map in maps {
         report.merge(webbase_webcheck::check_site(map));
     }
-    let vps = &layer.vps;
+    let shape = layer.vps.shape();
     let attrs_of = |schema: Option<webbase_relational::Schema>| -> Vec<String> {
         schema
             .map(|s| s.attrs().iter().map(|a| a.as_str().to_string()).collect())
             .unwrap_or_default()
     };
-    let vps_specs: Vec<VpsRelSpec> = vps
+    let vps_specs: Vec<VpsRelSpec> = shape
         .relations()
         .map(|name| VpsRelSpec {
             name: name.to_string(),
-            site: vps.navigator(name).map(|n| n.map.site.clone()).unwrap_or_default(),
-            attrs: attrs_of(vps.schema(name)),
-            handles: vps
+            site: shape.relation_host(name).unwrap_or_default().to_string(),
+            attrs: attrs_of(layer.vps.schema(name)),
+            handles: shape
                 .handles(name)
                 .iter()
                 .map(|h| HandleSpec {

@@ -10,21 +10,56 @@
 //! (the classical "layers all the way down" of Figure 1).
 
 use crate::schema::LogicalRelation;
+use std::collections::HashMap;
+use std::sync::Arc;
 use webbase_relational::binding::{propagate, BindingSet};
 use webbase_relational::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
 use webbase_relational::{Relation, Schema};
 use webbase_vps::{SpanKind, VpsCatalog, QUERY_TRACK};
 
+/// Logical relation definitions in declaration order, indexed by name.
+/// Built once per corpus and shared behind an `Arc` by every layer over
+/// it. On duplicate names the first definition wins.
+#[derive(Debug, Default)]
+pub struct LogicalDefs {
+    relations: Vec<LogicalRelation>,
+    by_name: HashMap<String, usize>,
+}
+
+impl LogicalDefs {
+    pub fn new(relations: Vec<LogicalRelation>) -> LogicalDefs {
+        let mut by_name = HashMap::with_capacity(relations.len());
+        for (i, r) in relations.iter().enumerate() {
+            by_name.entry(r.name.clone()).or_insert(i);
+        }
+        LogicalDefs { relations, by_name }
+    }
+
+    pub fn relations(&self) -> &[LogicalRelation] {
+        &self.relations
+    }
+
+    pub fn get(&self, name: &str) -> Option<&LogicalRelation> {
+        self.by_name.get(name).map(|&i| &self.relations[i])
+    }
+}
+
 /// The logical layer: definitions + the VPS beneath them.
 pub struct LogicalLayer {
     pub vps: VpsCatalog,
-    relations: Vec<LogicalRelation>,
+    defs: Arc<LogicalDefs>,
     relaxed_union: bool,
 }
 
 impl LogicalLayer {
     pub fn new(vps: VpsCatalog, relations: Vec<LogicalRelation>) -> LogicalLayer {
-        LogicalLayer { vps, relations, relaxed_union: false }
+        LogicalLayer::over(vps, Arc::new(LogicalDefs::new(relations)))
+    }
+
+    /// A layer over shared definitions: the multi-query engine's
+    /// per-query path, which never copies the definitions.
+    pub fn over(vps: VpsCatalog, defs: Arc<LogicalDefs>) -> LogicalLayer {
+        LogicalLayer { vps, defs, relaxed_union: false }
     }
 
     /// Accept partial answers from unions with un-invocable sides (the
@@ -35,11 +70,11 @@ impl LogicalLayer {
     }
 
     pub fn relations(&self) -> &[LogicalRelation] {
-        &self.relations
+        self.defs.relations()
     }
 
     pub fn relation(&self, name: &str) -> Option<&LogicalRelation> {
-        self.relations.iter().find(|r| r.name == name)
+        self.defs.get(name)
     }
 
     /// The §5 binding-propagation report: every logical relation with
@@ -47,7 +82,7 @@ impl LogicalLayer {
     /// example).
     pub fn binding_report(&self) -> String {
         let mut out = String::from("Binding propagation (logical layer)\n");
-        for r in &self.relations {
+        for r in self.relations() {
             let b = self.bindings(&r.name).unwrap_or_else(BindingSet::unsatisfiable);
             out.push_str(&format!("  {}: {}\n", r.name, b));
         }
@@ -67,11 +102,10 @@ impl RelationProvider for LogicalLayer {
     }
 
     fn fetch(&mut self, name: &str, spec: &AccessSpec) -> Result<Relation, EvalError> {
-        let def = self
-            .relation(name)
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?
-            .def
-            .clone();
+        // A handle on the definitions, so `def` stays borrowed while
+        // the evaluator takes the VPS mutably.
+        let defs = self.defs.clone();
+        let def = &defs.get(name).ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?.def;
         let relaxed = self.relaxed_union;
         let obs = self.vps.obs().clone();
         let span = if obs.tracing() {
@@ -84,7 +118,7 @@ impl RelationProvider for LogicalLayer {
         } else {
             webbase_vps::SpanHandle::INERT
         };
-        let out = Evaluator::new(&mut self.vps).with_relaxed_union(relaxed).eval(&def, spec);
+        let out = Evaluator::new(&mut self.vps).with_relaxed_union(relaxed).eval(def, spec);
         if obs.tracing() {
             obs.sink.advance(QUERY_TRACK, self.vps.stats.total_network());
             match &out {
@@ -209,6 +243,17 @@ mod tests {
         // every ad row gained a safety rating
         let sidx = rel.schema().index_of(&"safety".into()).expect("safety");
         assert!(rel.tuples().iter().all(|t| !t.get(sidx).is_null()));
+    }
+
+    #[test]
+    fn duplicate_definitions_resolve_to_the_first() {
+        let defs = LogicalDefs::new(vec![
+            LogicalRelation::new("ads", Expr::relation("newsday")),
+            LogicalRelation::new("ads", Expr::relation("nyTimes")),
+        ]);
+        assert_eq!(defs.get("ads").map(|r| r.def.to_string()), Some("newsday".to_string()));
+        assert_eq!(defs.relations().len(), 2, "declaration order keeps every definition");
+        assert!(defs.get("nosuch").is_none());
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod schema;
 /// here because §5/§7 discuss it as a logical-layer responsibility.
 pub use webbase_relational::standardize;
 
-pub use layer::LogicalLayer;
+pub use layer::{LogicalDefs, LogicalLayer};
 pub use schema::{paper_schema, LogicalRelation};
 pub use webbase_relational::standardize::Standardizer;
 // Re-exported so the external-schema layer can surface per-site

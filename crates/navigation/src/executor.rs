@@ -68,7 +68,6 @@ pub struct NavOracle {
     actions: HashMap<Sym, ConcreteAction>,
     specs: HashMap<String, ExtractionSpec>,
     value_link_sets: HashMap<String, Vec<(String, String)>>,
-    entries: HashMap<String, Url>,
     /// In-flight drift detector; `None` when self-healing is disabled.
     probe: Option<PageProbe>,
 }
@@ -91,8 +90,6 @@ impl NavOracle {
         policy: FetchPolicy,
         store: PageStore,
     ) -> NavOracle {
-        let entries: HashMap<String, Url> =
-            web.hosts().into_iter().filter_map(|h| web.entry(&h).map(|u| (h, u))).collect();
         let mut browser = Browser::with_store(web, policy, store);
         browser.caching = caching;
         NavOracle {
@@ -102,7 +99,6 @@ impl NavOracle {
             actions: HashMap::new(),
             specs: HashMap::new(),
             value_link_sets: HashMap::new(),
-            entries,
             probe: None,
         }
     }
@@ -319,7 +315,10 @@ impl NavOracle {
             Term::Atom(a) => a.name(),
             _ => return OracleOutcome::Fail,
         };
-        let Some(url) = self.entries.get(&site).cloned() else {
+        // Looked up per call: a map over every host of the Web, built
+        // per navigator, would make each session cost grow with the
+        // whole Web rather than with the sites a query visits.
+        let Some(url) = self.browser.web().entry(&site) else {
             return OracleOutcome::Fail;
         };
         // Cooperative deadline check before the chain even starts.

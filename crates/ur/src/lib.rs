@@ -33,5 +33,5 @@ pub mod query;
 pub use compat::{CompatRule, CompatRules};
 pub use hierarchy::{Alternative, ChoiceGroup, Hierarchy};
 pub use maximal::maximal_objects;
-pub use plan::{UrPlan, UrPlanner};
+pub use plan::{PlanIndex, UrPlan, UrPlanner};
 pub use query::{parse_query, UrQuery};

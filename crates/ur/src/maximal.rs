@@ -35,8 +35,24 @@ pub fn is_compatible(h: &Hierarchy, rules: &CompatRules, set: &AltSet) -> bool {
 pub fn compatible_sets(h: &Hierarchy, rules: &CompatRules) -> Vec<AltSet> {
     let alts: Vec<String> = h.alternatives().map(|a| a.name.clone()).collect();
     if alts.len() <= 12 {
+        // Each group's alternatives occupy consecutive mask bits; a mask
+        // with two bits in one group breaks exclusivity, so it is
+        // skipped before its set is built.
+        let mut offset = 0;
+        let group_masks: Vec<u32> = h
+            .groups
+            .iter()
+            .map(|g| {
+                let bits = ((1u32 << g.alternatives.len()) - 1) << offset;
+                offset += g.alternatives.len();
+                bits
+            })
+            .collect();
         let mut out = Vec::new();
         for mask in 0u32..(1 << alts.len()) {
+            if group_masks.iter().any(|g| (mask & g).count_ones() > 1) {
+                continue;
+            }
             let set: AltSet = alts
                 .iter()
                 .enumerate()

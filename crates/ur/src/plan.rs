@@ -22,7 +22,7 @@ use crate::compat::CompatRules;
 use crate::hierarchy::Hierarchy;
 use crate::maximal::{compatible_sets, AltSet};
 use crate::query::UrQuery;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use webbase_logical::{
     BudgetSnapshot, BudgetTracker, LogicalLayer, Obs, ResumeToken, SpanHandle, SpanKind,
@@ -30,7 +30,7 @@ use webbase_logical::{
 };
 use webbase_relational::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
 use webbase_relational::ordering::{order_exact, JoinInput};
-use webbase_relational::{Attr, Expr, Pred, Relation};
+use webbase_relational::{Attr, Expr, Pred, Relation, Schema};
 
 /// One planned maximal-object query.
 #[derive(Debug, Clone)]
@@ -123,6 +123,38 @@ impl From<EvalError> for UrError {
     }
 }
 
+/// The query-independent input of planning: the UR attribute list and
+/// every non-empty compatible set with the attributes it covers. It
+/// depends only on the hierarchy, the rules and the logical schemas, so
+/// it holds for every layer over the corpus it was built from; the
+/// multi-query engine builds it once.
+#[derive(Debug, Clone)]
+pub struct PlanIndex {
+    /// UR attributes in first-seen order.
+    attributes: Vec<String>,
+    /// Attribute → its position in `attributes`.
+    ids: HashMap<String, usize>,
+    /// Every non-empty compatible set, in enumeration order, with the
+    /// attributes its alternatives cover as a bitset over `attributes`.
+    sets: Vec<(AltSet, Vec<u64>)>,
+}
+
+impl PlanIndex {
+    /// The UR attributes in first-seen order.
+    pub fn attributes(&self) -> &[String] {
+        &self.attributes
+    }
+
+    /// A bitset over the UR attributes, with the given positions set.
+    fn bits<'a>(&self, ids: impl IntoIterator<Item = &'a usize>) -> Vec<u64> {
+        let mut bits = vec![0u64; self.attributes.len().div_ceil(64)];
+        for &i in ids {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        bits
+    }
+}
+
 /// The planner: hierarchy + rules over a logical layer.
 pub struct UrPlanner {
     pub hierarchy: Hierarchy,
@@ -134,61 +166,80 @@ impl UrPlanner {
         UrPlanner { hierarchy, rules }
     }
 
+    /// Build the planning index over `layer`'s logical schemas.
+    pub fn index(&self, layer: &LogicalLayer) -> PlanIndex {
+        let mut index = PlanIndex { attributes: Vec::new(), ids: HashMap::new(), sets: Vec::new() };
+        // Each alternative's attribute positions, by name (the first
+        // alternative of a name wins, as in `Hierarchy::alternative`).
+        let mut provides: HashMap<&str, Vec<usize>> = HashMap::new();
+        for alt in self.hierarchy.alternatives() {
+            let schema = layer.schema(&alt.relation);
+            let mut ids = Vec::new();
+            for a in schema.iter().flat_map(Schema::attrs) {
+                let next = index.attributes.len();
+                let id = *index.ids.entry(a.as_str().to_string()).or_insert(next);
+                if id == next {
+                    index.attributes.push(a.as_str().to_string());
+                }
+                ids.push(id);
+            }
+            provides.entry(alt.name.as_str()).or_insert(ids);
+        }
+        for set in compatible_sets(&self.hierarchy, &self.rules) {
+            if !set.is_empty() {
+                let covered =
+                    index.bits(set.iter().filter_map(|n| provides.get(n.as_str())).flatten());
+                index.sets.push((set, covered));
+            }
+        }
+        index
+    }
+
     /// The UR's full attribute list (for rendering Figure 5 and for the
     /// user interface's attribute picker).
     pub fn ur_attributes(&self, layer: &LogicalLayer) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for alt in self.hierarchy.alternatives() {
-            if let Some(s) = layer.schema(&alt.relation) {
-                for a in s.attrs() {
-                    if !out.contains(&a.as_str().to_string()) {
-                        out.push(a.as_str().to_string());
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Attributes provided by a set of alternatives.
-    fn covered(&self, set: &AltSet, layer: &LogicalLayer) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for name in set {
-            if let Some(alt) = self.hierarchy.alternative(name) {
-                if let Some(s) = layer.schema(&alt.relation) {
-                    out.extend(s.attrs().iter().map(|a| a.as_str().to_string()));
-                }
-            }
-        }
-        out
+        self.index(layer).attributes
     }
 
     /// Plan a query against a logical layer.
     pub fn plan(&self, query: &UrQuery, layer: &LogicalLayer) -> Result<UrPlan, UrError> {
+        self.plan_with(query, layer, &self.index(layer))
+    }
+
+    /// Plan a query with a prebuilt index, which must come from a layer
+    /// with the same logical schemas as `layer`.
+    pub fn plan_with(
+        &self,
+        query: &UrQuery,
+        layer: &LogicalLayer,
+        index: &PlanIndex,
+    ) -> Result<UrPlan, UrError> {
         // Computed columns are defined by the query itself; the base
         // relations only need to cover their *inputs*.
         let mentioned = query.base_mentioned();
-        let ur_attrs = self.ur_attributes(layer);
+        let mut need = Vec::with_capacity(mentioned.len());
         for a in &mentioned {
-            if !ur_attrs.contains(a) {
-                return Err(UrError::UnknownAttribute(a.clone()));
+            match index.ids.get(a) {
+                Some(&id) => need.push(id),
+                None => return Err(UrError::UnknownAttribute(a.clone())),
             }
         }
-        let need: BTreeSet<String> = mentioned.iter().cloned().collect();
+        let need = index.bits(&need);
 
         // Minimal covering compatible sets.
-        let all = compatible_sets(&self.hierarchy, &self.rules);
-        let covering: Vec<AltSet> = all
-            .into_iter()
-            .filter(|s| !s.is_empty() && need.is_subset(&self.covered(s, layer)))
+        let covering: Vec<&AltSet> = index
+            .sets
+            .iter()
+            .filter(|(_, covered)| need.iter().zip(covered).all(|(n, c)| n & !c == 0))
+            .map(|(s, _)| s)
             .collect();
         if covering.is_empty() {
             return Err(UrError::NotCoverable(mentioned));
         }
         let minimal: Vec<AltSet> = covering
             .iter()
-            .filter(|s| !covering.iter().any(|t| *t != **s && t.is_subset(s)))
-            .cloned()
+            .filter(|s| !covering.iter().any(|t| t != *s && t.is_subset(s)))
+            .map(|s| (*s).clone())
             .collect();
 
         // Translate each minimal covering set.
@@ -346,6 +397,19 @@ impl UrPlanner {
         layer: &mut LogicalLayer,
         resume: Option<&ResumeToken>,
     ) -> Result<(Relation, UrPlan), UrError> {
+        let index = self.index(layer);
+        self.execute_with_index(query, layer, &index, resume)
+    }
+
+    /// [`UrPlanner::execute_with`] with a prebuilt planning index (see
+    /// [`UrPlanner::plan_with`]).
+    pub fn execute_with_index(
+        &self,
+        query: &UrQuery,
+        layer: &mut LogicalLayer,
+        index: &PlanIndex,
+        resume: Option<&ResumeToken>,
+    ) -> Result<(Relation, UrPlan), UrError> {
         // The Query root span is begun *before* planning so the Plan
         // span (and the rewrite/object events it emits) nest under it.
         let obs = layer.vps.obs().clone();
@@ -364,7 +428,7 @@ impl UrPlanner {
         } else {
             SpanHandle::INERT
         };
-        let planned = self.plan(query, layer);
+        let planned = self.plan_with(query, layer, index);
         if obs.tracing() {
             match &planned {
                 Ok(p) => obs.sink.end_with(
@@ -536,6 +600,34 @@ mod tests {
         for a in ["make", "model", "year", "price", "bbprice", "rate", "cost", "safety"] {
             assert!(attrs.contains(&a.to_string()), "missing {a}");
         }
+    }
+
+    #[test]
+    fn ur_attributes_keep_first_seen_order() {
+        // Figure 5's alternatives in hierarchy order, each contributing
+        // the attributes its logical relation adds.
+        let (layer, _) = layer();
+        assert_eq!(
+            planner().ur_attributes(&layer),
+            [
+                "make",
+                "model",
+                "year",
+                "price",
+                "contact",
+                "features",
+                "condition",
+                "pricetype",
+                "bbprice",
+                "zip",
+                "duration",
+                "plan",
+                "rate",
+                "coverage",
+                "cost",
+                "safety",
+            ]
+        );
     }
 
     #[test]

@@ -1,9 +1,18 @@
 //! The VPS catalog: every mapped site's relations behind one
 //! `RelationProvider`.
+//!
+//! The catalog has two parts. A [`CatalogShape`] holds what no query
+//! changes: each relation's owning site, schema and handles, every
+//! site's compiled program and semantic analysis, and registration
+//! order. A [`VpsCatalog`] is one query's view over a shared shape. It
+//! owns that query's navigator sessions, statistics, budget and trace
+//! handle, and builds a site's navigator only when the query first
+//! invokes one of the site's relations, so a query pays for the sites
+//! its plan touches rather than for the whole corpus.
 
 use crate::handle::{derive_handles, Handle};
 use crate::memo::{AnswerMemo, MemoClaim};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 use webbase_navigation::budget::{BudgetTracker, JournalEntry, NavPosition, ResumeToken};
@@ -11,7 +20,9 @@ use webbase_navigation::executor::SiteNavigator;
 use webbase_navigation::map::NavigationMap;
 use webbase_navigation::pool::HostPools;
 use webbase_navigation::store::{PageStore, ReadSet};
-use webbase_navigation::{CancelToken, CompiledSite, DegradationReport, FetchPolicy, RepairReport};
+use webbase_navigation::{
+    compile_map, CancelToken, CompiledSite, DegradationReport, FetchPolicy, RepairReport,
+};
 use webbase_obs::{Metric, Obs, SpanHandle, SpanKind, QUERY_TRACK};
 use webbase_relational::binding::{Binding, BindingSet};
 use webbase_relational::eval::{AccessSpec, EvalError, RelationProvider};
@@ -53,31 +64,196 @@ impl VpsStats {
     }
 }
 
-struct VpsEntry {
-    navigator: Arc<SiteNavigator>,
+/// One mapped site: the map, its compiled program, and the Web it runs
+/// against.
+#[derive(Clone)]
+struct ShapeSite {
+    web: SyntheticWeb,
+    map: NavigationMap,
+    compiled: Arc<CompiledSite>,
+}
+
+/// One VPS relation: its owning site (an index into
+/// `CatalogShape::sites`), schema and handles.
+#[derive(Clone)]
+struct ShapeRelation {
+    site: usize,
     schema: Schema,
     handles: Vec<Handle>,
 }
 
-/// The catalog of VPS relations across all mapped sites (Table 1).
-pub struct VpsCatalog {
-    entries: HashMap<String, VpsEntry>,
+/// The query-independent part of a VPS catalog (Table 1): built once
+/// per corpus, shared behind an `Arc` by every query's [`VpsCatalog`].
+#[derive(Clone)]
+pub struct CatalogShape {
+    sites: Vec<ShapeSite>,
+    relations: HashMap<String, ShapeRelation>,
     /// Registration order, for stable Table 1 output.
     order: Vec<String>,
-    pub stats: VpsStats,
-    /// The query budget shared by every navigator, when one is attached.
-    budget: Option<Arc<BudgetTracker>>,
-    /// Relation invocations that ran to completion under the budget —
-    /// the resume token's navigation positions.
-    positions: Vec<NavPosition>,
     /// The pre-flight static analysis of every loaded map, accumulated
-    /// at [`VpsCatalog::add_map`] time — quarantine/healing reports can
-    /// cite the load-time diagnostic alongside the runtime repair.
+    /// at [`CatalogShape::add_map`] time — quarantine/healing reports
+    /// can cite the load-time diagnostic alongside the runtime repair.
     preflight: webbase_webcheck::Report,
     /// Per-site semantic analysis (fetch-cost intervals and static
     /// read-sets), keyed by host. Every map-ingestion path stores one —
     /// a loaded map without semantics cannot exist.
     semantics: HashMap<String, Arc<webbase_webcheck::SiteSemantics>>,
+    /// Retry/backoff/circuit policy of every navigator built over it.
+    policy: FetchPolicy,
+}
+
+impl CatalogShape {
+    pub fn new(policy: FetchPolicy) -> CatalogShape {
+        CatalogShape {
+            sites: Vec::new(),
+            relations: HashMap::new(),
+            order: Vec::new(),
+            preflight: webbase_webcheck::Report::new(),
+            semantics: HashMap::new(),
+            policy,
+        }
+    }
+
+    /// Add every relation of a recorded map, compiling it for `web`.
+    /// Returns the site's index.
+    ///
+    /// The map goes through the full static analysis
+    /// ([`webbase_webcheck::analyze_full`]: map lint, program safety,
+    /// and semantic abstract interpretation); the findings accumulate
+    /// in [`CatalogShape::preflight`] and the derived semantics are kept
+    /// per site. Loading itself is not refused here — deployment paths
+    /// that must reject E-level maps (e.g.
+    /// `Webbase::build_from_fact_maps`) consult the report before
+    /// calling in.
+    pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) -> usize {
+        let (report, semantics) = webbase_webcheck::analyze_full(&map);
+        self.preflight.merge(report);
+        self.semantics.insert(map.site.clone(), Arc::new(semantics));
+        let compiled = Arc::new(compile_map(&map));
+        let handles = derive_handles(&map);
+        let site = self.sites.len();
+        for rel in &compiled.relations {
+            let schema = Schema::new(rel.attrs.iter().map(String::as_str));
+            let rel_handles: Vec<Handle> =
+                handles.iter().filter(|h| h.relation == rel.name).cloned().collect();
+            assert!(
+                !rel_handles.is_empty(),
+                "relation {} has no handle — was its data node registered?",
+                rel.name
+            );
+            let prev = self
+                .relations
+                .insert(rel.name.clone(), ShapeRelation { site, schema, handles: rel_handles });
+            assert!(prev.is_none(), "duplicate VPS relation {}", rel.name);
+            self.order.push(rel.name.clone());
+        }
+        self.sites.push(ShapeSite { web, map, compiled });
+        site
+    }
+
+    /// The accumulated pre-flight diagnostics of every map loaded so
+    /// far.
+    pub fn preflight(&self) -> &webbase_webcheck::Report {
+        &self.preflight
+    }
+
+    /// Pre-flight findings for one site, for citation next to that
+    /// site's quarantine/healing entries.
+    pub fn preflight_for(&self, site: &str) -> Vec<&webbase_webcheck::Diagnostic> {
+        self.preflight.for_site(site)
+    }
+
+    /// The semantic analysis of one loaded site (fetch-cost intervals
+    /// and static read-sets), by host.
+    pub fn semantics_for(&self, host: &str) -> Option<&Arc<webbase_webcheck::SiteSemantics>> {
+        self.semantics.get(host)
+    }
+
+    /// The host of the site owning `relation`.
+    pub fn relation_host(&self, relation: &str) -> Option<&str> {
+        let r = self.relations.get(relation)?;
+        Some(&self.sites[r.site].map.site)
+    }
+
+    /// The whole-site semantics of the site owning `relation` (the
+    /// host lives on the [`webbase_webcheck::SiteSemantics`]).
+    pub fn relation_site(&self, relation: &str) -> Option<&Arc<webbase_webcheck::SiteSemantics>> {
+        self.semantics.get(self.relation_host(relation)?)
+    }
+
+    /// The semantic analysis of the site owning `relation`.
+    pub fn relation_semantics(
+        &self,
+        relation: &str,
+    ) -> Option<&webbase_webcheck::semantic::RelationSemantics> {
+        self.relation_site(relation)?.relation(relation)
+    }
+
+    /// Relation names in registration order.
+    pub fn relations(&self) -> impl Iterator<Item = &str> {
+        self.order.iter().map(String::as_str)
+    }
+
+    pub fn handles(&self, relation: &str) -> &[Handle] {
+        self.relations.get(relation).map(|r| r.handles.as_slice()).unwrap_or(&[])
+    }
+
+    /// The Table 1 rendering: relation name, site, schema.
+    pub fn render_table1(&self) -> String {
+        let mut out = String::from("VPS-level relations\n");
+        for name in &self.order {
+            let r = &self.relations[name];
+            out.push_str(&format!(
+                "  {name}{}   [site: {}]\n",
+                r.schema, self.sites[r.site].map.site
+            ));
+        }
+        out
+    }
+
+    /// The Table 3 rendering: mandatory and optional attribute sets.
+    pub fn render_table3(&self) -> String {
+        let fmt_set = |s: &std::collections::BTreeSet<String>| {
+            if s.is_empty() {
+                "∅".to_string()
+            } else {
+                s.iter().cloned().collect::<Vec<_>>().join(", ")
+            }
+        };
+        let mut out = String::from("VPS handles: mandatory | optional\n");
+        for name in &self.order {
+            for h in &self.relations[name].handles {
+                out.push_str(&format!(
+                    "  {name}: {{{}}} | {{{}}}\n",
+                    fmt_set(&h.mandatory),
+                    fmt_set(&h.optional())
+                ));
+            }
+        }
+        out
+    }
+}
+
+/// One query's view of the VPS relations over a shared [`CatalogShape`].
+pub struct VpsCatalog {
+    shape: Arc<CatalogShape>,
+    /// One slot per shape site, filled with the site's navigator on the
+    /// first invocation of one of its relations (or on `preload`).
+    navigators: Vec<Option<Arc<SiteNavigator>>>,
+    /// The page store every navigator reads through; `None` gives each
+    /// navigator a private store.
+    store: Option<PageStore>,
+    /// Per-host connection pools handed to every navigator.
+    pool: Option<Arc<HostPools>>,
+    pub stats: VpsStats,
+    /// The query budget shared by every navigator, when one is attached.
+    budget: Option<Arc<BudgetTracker>>,
+    /// The cancellation token every navigator polls, when one is
+    /// attached.
+    cancel: Option<CancelToken>,
+    /// Relation invocations that ran to completion under the budget —
+    /// the resume token's navigation positions.
+    positions: Vec<NavPosition>,
     /// Observability handle shared with every navigator (and through
     /// them, every browser). Disabled by default.
     obs: Obs,
@@ -104,15 +280,37 @@ impl Default for VpsCatalog {
 }
 
 impl VpsCatalog {
+    /// An empty single-owner catalog: maps are added with
+    /// [`VpsCatalog::add_map`], each navigator reads through a private
+    /// page store under the default fetch policy.
     pub fn new() -> VpsCatalog {
+        VpsCatalog::with_parts(
+            Arc::new(CatalogShape::new(FetchPolicy::default_policy())),
+            None,
+            None,
+        )
+    }
+
+    /// A per-query catalog over a shared shape. Every navigator it
+    /// builds reads through `store` and, when given, `pool`.
+    pub fn over(shape: Arc<CatalogShape>, store: PageStore, pool: Option<Arc<HostPools>>) -> Self {
+        VpsCatalog::with_parts(shape, Some(store), pool)
+    }
+
+    fn with_parts(
+        shape: Arc<CatalogShape>,
+        store: Option<PageStore>,
+        pool: Option<Arc<HostPools>>,
+    ) -> VpsCatalog {
         VpsCatalog {
-            entries: HashMap::new(),
-            order: Vec::new(),
+            navigators: vec![None; shape.sites.len()],
+            shape,
+            store,
+            pool,
             stats: VpsStats::default(),
             budget: None,
+            cancel: None,
             positions: Vec::new(),
-            preflight: webbase_webcheck::Report::new(),
-            semantics: HashMap::new(),
             obs: Obs::none(),
             memo: None,
             reads: None,
@@ -120,164 +318,91 @@ impl VpsCatalog {
         }
     }
 
-    /// Add every relation of a recorded map, compiling it for `web`.
-    ///
-    /// The map goes through the full static analysis
-    /// ([`webbase_webcheck::analyze_full`]: map lint, program safety,
-    /// and semantic abstract interpretation); the findings accumulate
-    /// in [`VpsCatalog::preflight`] and the derived semantics are kept
-    /// per site. Loading itself is not refused here — deployment paths
-    /// that must reject E-level maps (e.g.
-    /// `Webbase::build_from_fact_maps`) consult the report before
-    /// calling in.
+    /// Add every relation of a recorded map (see
+    /// [`CatalogShape::add_map`]) and build its navigator up front, so a
+    /// single-owner stack pays for navigator construction at build time,
+    /// not inside its first query.
     pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) {
-        let (report, semantics) = webbase_webcheck::analyze_full(&map);
-        self.preflight.merge(report);
-        self.semantics.insert(map.site.clone(), Arc::new(semantics));
-        let navigator = Arc::new(SiteNavigator::new(web, map));
-        let handles = derive_handles(&navigator.map);
-        self.register(navigator, &handles);
+        let site = Arc::make_mut(&mut self.shape).add_map(web, map);
+        self.navigators.push(None);
+        self.site_navigator(site);
     }
 
-    /// Add a map around *already-compiled* artifacts, pre-derived
-    /// handles, the build-time semantic analysis, and a shared page
-    /// store — the multi-query engine's per-session path. No fresh
-    /// analysis and no handle derivation here: the engine runs
-    /// `analyze_full` and derives each map once at build time, not once
-    /// per query, and hands the results in (so even this fast path
-    /// cannot register a map that skipped the semantic passes). The
-    /// navigator session is private to this catalog; only the compiled
-    /// program, the handles, the semantics, and the page store are
-    /// shared.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_map_compiled(
-        &mut self,
-        web: SyntheticWeb,
-        map: NavigationMap,
-        compiled: Arc<CompiledSite>,
-        handles: &[Handle],
-        semantics: Arc<webbase_webcheck::SiteSemantics>,
-        policy: FetchPolicy,
-        store: PageStore,
-        pool: Option<Arc<HostPools>>,
-    ) {
-        self.semantics.insert(map.site.clone(), semantics);
-        let navigator = Arc::new(SiteNavigator::from_compiled(web, map, compiled, policy, store));
-        if let Some(pool) = pool {
-            navigator.set_pool(pool);
+    /// The shared, query-independent part of this catalog.
+    pub fn shape(&self) -> &Arc<CatalogShape> {
+        &self.shape
+    }
+
+    /// The navigator of shape site `site`, built on first use with
+    /// whatever store, pool, budget, cancel token and trace handle the
+    /// catalog carries at that moment.
+    fn site_navigator(&mut self, site: usize) -> Arc<SiteNavigator> {
+        if let Some(nav) = &self.navigators[site] {
+            return nav.clone();
         }
-        self.register(navigator, handles);
-    }
-
-    fn register(&mut self, navigator: Arc<SiteNavigator>, handles: &[Handle]) {
-        for rel in navigator.relations() {
-            let schema = Schema::new(rel.attrs.iter().map(String::as_str));
-            let rel_handles: Vec<Handle> =
-                handles.iter().filter(|h| h.relation == rel.name).cloned().collect();
-            assert!(
-                !rel_handles.is_empty(),
-                "relation {} has no handle — was its data node registered?",
-                rel.name
-            );
-            let prev = self.entries.insert(
-                rel.name.clone(),
-                VpsEntry { navigator: navigator.clone(), schema, handles: rel_handles },
-            );
-            assert!(prev.is_none(), "duplicate VPS relation {}", rel.name);
-            self.order.push(rel.name.clone());
+        let s = &self.shape.sites[site];
+        let navigator = SiteNavigator::from_compiled(
+            s.web.clone(),
+            s.map.clone(),
+            s.compiled.clone(),
+            self.shape.policy,
+            self.store.clone().unwrap_or_default(),
+        );
+        if let Some(pool) = &self.pool {
+            navigator.set_pool(pool.clone());
         }
+        if let Some(budget) = &self.budget {
+            navigator.set_budget(budget.clone());
+        }
+        if let Some(cancel) = &self.cancel {
+            navigator.set_cancel(cancel.clone());
+        }
+        navigator.set_obs(self.obs.clone());
+        let navigator = Arc::new(navigator);
+        self.navigators[site] = Some(navigator.clone());
+        navigator
     }
 
-    /// The accumulated pre-flight diagnostics of every map loaded so
-    /// far.
-    pub fn preflight(&self) -> &webbase_webcheck::Report {
-        &self.preflight
+    /// The navigators built so far, in site registration order.
+    fn built(&self) -> impl Iterator<Item = &Arc<SiteNavigator>> {
+        self.navigators.iter().flatten()
     }
 
-    /// Pre-flight findings for one site, for citation next to that
-    /// site's quarantine/healing entries.
-    pub fn preflight_for(&self, site: &str) -> Vec<&webbase_webcheck::Diagnostic> {
-        self.preflight.for_site(site)
+    /// Hosts whose navigator this catalog has built, in registration
+    /// order.
+    pub fn built_hosts(&self) -> Vec<&str> {
+        self.built().map(|n| n.map.site.as_str()).collect()
     }
 
-    /// The semantic analysis of one loaded site (fetch-cost intervals
-    /// and static read-sets), by host.
-    pub fn semantics_for(&self, host: &str) -> Option<&Arc<webbase_webcheck::SiteSemantics>> {
-        self.semantics.get(host)
-    }
-
-    /// The whole-site semantics of the site owning `relation` (the
-    /// host lives on the [`webbase_webcheck::SiteSemantics`]).
-    pub fn relation_site(&self, relation: &str) -> Option<&Arc<webbase_webcheck::SiteSemantics>> {
-        let e = self.entries.get(relation)?;
-        self.semantics.get(&e.navigator.map.site)
-    }
-
-    /// The semantic analysis of the site owning `relation`.
-    pub fn relation_semantics(
-        &self,
-        relation: &str,
-    ) -> Option<&webbase_webcheck::semantic::RelationSemantics> {
-        let e = self.entries.get(relation)?;
-        self.semantics.get(&e.navigator.map.site)?.relation(relation)
-    }
-
-    /// Relation names in registration order.
-    pub fn relations(&self) -> impl Iterator<Item = &str> {
-        self.order.iter().map(String::as_str)
-    }
-
-    pub fn handles(&self, relation: &str) -> &[Handle] {
-        self.entries.get(relation).map(|e| e.handles.as_slice()).unwrap_or(&[])
-    }
-
-    pub fn navigator(&self, relation: &str) -> Option<&Arc<SiteNavigator>> {
-        self.entries.get(relation).map(|e| &e.navigator)
-    }
-
-    /// Per-site degradation merged across every navigator in the
-    /// catalog. Navigators are shared between the relations of one site
-    /// (one browser session per map), so they are deduplicated by
-    /// identity before merging.
+    /// Per-site degradation merged across every navigator built so far
+    /// (a site never invoked has nothing to report).
     pub fn degradation(&self) -> DegradationReport {
-        let mut seen: std::collections::HashSet<*const SiteNavigator> =
-            std::collections::HashSet::new();
         let mut report = DegradationReport::default();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                report.merge(&nav.degradation());
-            }
+        for nav in self.built() {
+            report.merge(&nav.degradation());
         }
         report
     }
 
-    /// Per-site self-healing activity merged across every navigator in
-    /// the catalog (same identity-dedup as [`VpsCatalog::degradation`]).
+    /// Per-site self-healing activity merged across every navigator
+    /// built so far.
     pub fn repairs(&self) -> RepairReport {
-        let mut seen: std::collections::HashSet<*const SiteNavigator> =
-            std::collections::HashSet::new();
         let mut report = RepairReport::default();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                report.merge(&nav.repair_report());
-            }
+        for nav in self.built() {
+            report.merge(&nav.repair_report());
         }
         report
     }
 
-    /// Attach a query budget: every navigator in the catalog shares the
-    /// one tracker, and every mapped site is registered up front so
-    /// fair-share floors also cover sites the query has not reached yet.
+    /// Attach a query budget: every navigator shares the one tracker,
+    /// and every mapped site is registered up front so fair-share
+    /// floors also cover sites the query has not reached yet.
     pub fn set_budget(&mut self, budget: Arc<BudgetTracker>) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                budget.register_site(&nav.map.site);
-                nav.set_budget(budget.clone());
-            }
+        for site in &self.shape.sites {
+            budget.register_site(&site.map.site);
+        }
+        for nav in self.built() {
+            nav.set_budget(budget.clone());
         }
         self.budget = Some(budget);
     }
@@ -287,17 +412,11 @@ impl VpsCatalog {
     }
 
     /// Attach (or detach, with [`Obs::none`]) the observability handle:
-    /// every navigator in the catalog shares it, exactly like the budget
-    /// tracker (identity-dedup across the relations of one site). A map
-    /// added later does not retroactively receive the handle — attach
-    /// before executing, as `UrPlanner::execute_with` does.
+    /// every navigator shares it, exactly like the budget tracker,
+    /// including navigators built after this call.
     pub fn set_obs(&mut self, obs: Obs) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                nav.set_obs(obs.clone());
-            }
+        for nav in self.built() {
+            nav.set_obs(obs.clone());
         }
         self.obs = obs;
     }
@@ -309,16 +428,12 @@ impl VpsCatalog {
 
     /// Attach a cancellation token: every navigator polls it at its
     /// budget checkpoints, so a cancel lands before the next page
-    /// request rather than mid-navigation (identity-dedup across the
-    /// relations of one site, exactly like [`VpsCatalog::set_obs`]).
+    /// request rather than mid-navigation.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                nav.set_cancel(cancel.clone());
-            }
+        for nav in self.built() {
+            nav.set_cancel(cancel.clone());
         }
+        self.cancel = Some(cancel);
     }
 
     /// Attach a shared answer memo (the multi-query engine's
@@ -346,17 +461,9 @@ impl VpsCatalog {
     }
 
     /// Every page fetched while the budget was attached, across all
-    /// navigators (identity-dedup, as in [`VpsCatalog::degradation`]).
+    /// navigators.
     pub fn resume_journal(&self) -> Vec<JournalEntry> {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        let mut journal = Vec::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                journal.extend(nav.journal());
-            }
-        }
-        journal
+        self.built().flat_map(|nav| nav.journal()).collect()
     }
 
     /// The resume token for the current run: the budget it ran under,
@@ -375,15 +482,15 @@ impl VpsCatalog {
     }
 
     /// Preload a resume token's journal into the navigators' page
-    /// caches. Entries are routed to the navigator owning their host, so
-    /// a resumed run serves them as cache hits — zero re-fetches of
-    /// already-paid-for pages.
-    pub fn preload(&self, token: &ResumeToken) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                nav.preload_journal(token.journal_for(&nav.map.site));
+    /// caches. Entries are routed to the navigator owning their host
+    /// (built here if the token reaches its site), so a resumed run
+    /// serves them as cache hits — zero re-fetches of already-paid-for
+    /// pages.
+    pub fn preload(&mut self, token: &ResumeToken) {
+        for site in 0..self.shape.sites.len() {
+            let host = self.shape.sites[site].map.site.clone();
+            if token.journal_for(&host).next().is_some() {
+                self.site_navigator(site).preload_journal(token.journal_for(&host));
             }
         }
     }
@@ -397,16 +504,15 @@ impl VpsCatalog {
     pub fn execute(&mut self, jobs: &[(String, AccessSpec)]) -> Vec<Result<Relation, EvalError>> {
         let mut slots: Vec<Option<Result<Relation, EvalError>>> =
             jobs.iter().map(|_| None).collect();
-        let mut site_order: Vec<String> = Vec::new();
-        let mut queues: HashMap<String, VecDeque<usize>> = HashMap::new();
+        let mut site_order: Vec<usize> = Vec::new();
+        let mut queues: HashMap<usize, VecDeque<usize>> = HashMap::new();
         for (i, (name, _)) in jobs.iter().enumerate() {
-            match self.entries.get(name) {
-                Some(e) => {
-                    let site = e.navigator.map.site.clone();
-                    if !queues.contains_key(&site) {
-                        site_order.push(site.clone());
+            match self.shape.relations.get(name) {
+                Some(r) => {
+                    if !queues.contains_key(&r.site) {
+                        site_order.push(r.site);
                     }
-                    queues.entry(site).or_default().push_back(i);
+                    queues.entry(r.site).or_default().push_back(i);
                 }
                 None => slots[i] = Some(Err(EvalError::UnknownRelation(name.clone()))),
             }
@@ -426,57 +532,31 @@ impl VpsCatalog {
         }
         slots.into_iter().map(|s| s.expect("every job scheduled")).collect()
     }
-
-    /// The Table 1 rendering: relation name, site, schema.
-    pub fn render_table1(&self) -> String {
-        let mut out = String::from("VPS-level relations\n");
-        for name in &self.order {
-            let e = &self.entries[name];
-            out.push_str(&format!("  {name}{}   [site: {}]\n", e.schema, e.navigator.map.site));
-        }
-        out
-    }
-
-    /// The Table 3 rendering: mandatory and optional attribute sets.
-    pub fn render_table3(&self) -> String {
-        let fmt_set = |s: &std::collections::BTreeSet<String>| {
-            if s.is_empty() {
-                "∅".to_string()
-            } else {
-                s.iter().cloned().collect::<Vec<_>>().join(", ")
-            }
-        };
-        let mut out = String::from("VPS handles: mandatory | optional\n");
-        for name in &self.order {
-            for h in &self.entries[name].handles {
-                out.push_str(&format!(
-                    "  {name}: {{{}}} | {{{}}}\n",
-                    fmt_set(&h.mandatory),
-                    fmt_set(&h.optional())
-                ));
-            }
-        }
-        out
-    }
 }
 
 impl RelationProvider for VpsCatalog {
     fn schema(&self, name: &str) -> Option<Schema> {
-        self.entries.get(name).map(|e| e.schema.clone())
+        self.shape.relations.get(name).map(|r| r.schema.clone())
     }
 
     fn bindings(&self, name: &str) -> Option<BindingSet> {
-        let e = self.entries.get(name)?;
+        let r = self.shape.relations.get(name)?;
         Some(BindingSet::from_bindings(
-            e.handles
+            r.handles
                 .iter()
                 .map(|h| h.mandatory.iter().map(|a| Attr::new(a.clone())).collect::<Binding>()),
         ))
     }
 
     fn fetch(&mut self, name: &str, spec: &AccessSpec) -> Result<Relation, EvalError> {
-        let e =
-            self.entries.get(name).ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
+        // A handle on the shape, so the entry stays borrowed while the
+        // navigator slot below is filled.
+        let shape = self.shape.clone();
+        let e = shape
+            .relations
+            .get(name)
+            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
+        let host = &shape.sites[e.site].map.site;
         let available = spec.attrs();
         // Pick a handle whose mandatory set is covered; among those,
         // prefer the one that can *use* the most of the supplied values
@@ -545,6 +625,7 @@ impl RelationProvider for VpsCatalog {
             }
             _ => None,
         };
+        let navigator = self.site_navigator(e.site);
         self.obs.count(Metric::HandleInvocations);
         let span = if self.obs.tracing() {
             self.obs.sink.advance(QUERY_TRACK, self.stats.total_network());
@@ -554,7 +635,7 @@ impl RelationProvider for VpsCatalog {
                 SpanKind::Handle,
                 name.to_string(),
                 vec![
-                    ("site", e.navigator.map.site.clone()),
+                    ("site", host.clone()),
                     ("mandatory", handle.mandatory.iter().cloned().collect::<Vec<_>>().join(",")),
                     ("given", given_str.join(" ")),
                 ],
@@ -566,7 +647,7 @@ impl RelationProvider for VpsCatalog {
             .budget
             .as_ref()
             .map(|b| b.snapshot().sites.values().map(|s| s.denied).sum::<u64>());
-        let (records, run) = match e.navigator.run_relation(name, &given) {
+        let (records, run) = match navigator.run_relation(name, &given) {
             Ok(out) => out,
             Err(err) => {
                 if self.obs.tracing() {
@@ -584,7 +665,7 @@ impl RelationProvider for VpsCatalog {
                 self.positions
                     .push(NavPosition { relation: name.to_string(), given: given.clone() });
             }
-            budget.mark_served(&e.navigator.map.site);
+            budget.mark_served(host);
         }
         *self.stats.invocations.entry(name.to_string()).or_default() += 1;
         *self.stats.pages.entry(name.to_string()).or_default() += run.pages_fetched;
@@ -620,7 +701,7 @@ impl RelationProvider for VpsCatalog {
         // replayed to other queries as complete. Settling `None` still
         // releases the key and wakes waiting sessions.
         if let Some(guard) = memo_lead {
-            if e.navigator.degradation().is_clean() {
+            if navigator.degradation().is_clean() {
                 if let Some(memo) = &self.memo {
                     memo.set_deps(&AnswerMemo::key(name, &given), deps.clone());
                 }
@@ -656,7 +737,8 @@ mod tests {
     #[test]
     fn catalog_has_all_table1_relations() {
         let (cat, _) = catalog();
-        let rels: Vec<&str> = cat.relations().collect();
+        let shape = cat.shape();
+        let rels: Vec<&str> = shape.relations().collect();
         for expected in [
             "newsday",
             "newsdayCarFeatures",
@@ -675,18 +757,17 @@ mod tests {
         ] {
             assert!(rels.contains(&expected), "missing {expected} in {rels:?}");
         }
-        let t1 = cat.render_table1();
+        let t1 = shape.render_table1();
         assert!(t1.contains("newsday(make, model, year, price, contact, url)"), "{t1}");
-        let t3 = cat.render_table3();
+        let t3 = shape.render_table3();
         assert!(t3.contains("kellys: {condition, make, model, pricetype} | {year}"), "{t3}");
     }
 
     #[test]
     fn every_loaded_map_carries_semantics() {
         let (cat, _) = catalog();
-        let rels: Vec<String> = cat.relations().map(str::to_string).collect();
-        for name in rels {
-            let sem = cat.relation_semantics(&name).expect("semantics stored at load");
+        for name in cat.shape().relations() {
+            let sem = cat.shape().relation_semantics(name).expect("semantics stored at load");
             assert!(sem.cost.min >= 1, "{name}: at least the entry fetch");
             assert!(!sem.read_nodes.is_empty(), "{name}: non-empty static read-set");
         }
@@ -806,5 +887,85 @@ mod tests {
         assert_eq!(feat.len(), 1);
         let delta = cat.stats.total_pages() - pages_before;
         assert!(delta <= 2, "direct dereference should fetch ~1 page, got {delta}");
+    }
+
+    fn shared_shape() -> (Arc<CatalogShape>, SyntheticWeb) {
+        let data = Dataset::generate(5, 600);
+        let web = standard_web(data.clone(), LatencyModel::lan());
+        let mut shape = CatalogShape::new(FetchPolicy::default_policy());
+        for (host, session) in sessions::all_sessions(&data) {
+            let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
+            shape.add_map(web.clone(), map);
+        }
+        (Arc::new(shape), web)
+    }
+
+    const FORD: (&str, &str) = ("make", "ford");
+
+    #[test]
+    fn navigators_are_built_on_first_invocation() {
+        let (shape, _) = shared_shape();
+        let mut cat = VpsCatalog::over(shape, PageStore::new(), None);
+        assert!(cat.built_hosts().is_empty(), "a per-query catalog starts with no navigator");
+        // Planning-time questions never build one.
+        assert!(cat.schema("kellys").is_some() && cat.bindings("kellys").is_some());
+        assert!(cat.built_hosts().is_empty());
+        cat.fetch("newsday", &AccessSpec::new().with(FORD.0, FORD.1)).expect("fetches");
+        cat.fetch("newsday", &AccessSpec::new().with("make", "honda")).expect("fetches");
+        assert_eq!(cat.built_hosts(), ["www.newsday.com"], "one navigator, built once");
+        assert!(cat.degradation().is_clean());
+    }
+
+    #[test]
+    fn obs_budget_and_cancel_set_before_a_navigator_exists_reach_it() {
+        use std::collections::BTreeSet;
+        use webbase_navigation::budget::QueryBudget;
+        use webbase_obs::MetricsRegistry;
+        let (shape, web) = shared_shape();
+        let corpus: BTreeSet<&str> =
+            shape.relations().filter_map(|r| shape.relation_host(r)).collect();
+        let registry = Arc::new(MetricsRegistry::new());
+        let tracker = Arc::new(BudgetTracker::new(QueryBudget::unlimited()));
+        let mut cat = VpsCatalog::over(shape.clone(), PageStore::new(), None);
+        cat.set_obs(Obs::metrics_only(registry.clone()));
+        cat.set_budget(tracker.clone());
+        let listed: BTreeSet<String> = tracker.snapshot().sites.into_keys().collect();
+        assert_eq!(
+            listed.iter().map(String::as_str).collect::<BTreeSet<_>>(),
+            corpus,
+            "every corpus host holds a fair-share floor before any navigator exists"
+        );
+        cat.fetch("newsday", &AccessSpec::new().with(FORD.0, FORD.1)).expect("fetches");
+        assert!(registry.get(Metric::NavSteps) > 0, "the navigator traced into the catalog's obs");
+        assert!(tracker.snapshot().fetches > 0, "the navigator spent against the catalog's budget");
+
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let mut cat = VpsCatalog::over(shape, PageStore::new(), None);
+        cat.set_cancel(cancel);
+        let before = web.total_stats().requests;
+        let _ = cat.fetch("newsday", &AccessSpec::new().with(FORD.0, FORD.1));
+        assert_eq!(cat.built_hosts(), ["www.newsday.com"]);
+        assert_eq!(web.total_stats().requests, before, "the cancel stopped the first invocation");
+    }
+
+    #[test]
+    fn a_pool_set_before_a_navigator_exists_reaches_it() {
+        let (shape, _) = shared_shape();
+        let pool = Arc::new(HostPools::new(1));
+        let mut cat = VpsCatalog::over(shape, PageStore::new(), Some(pool.clone()));
+        // Hold newsday's only connection: the catalog's first fetch
+        // there must wait on this very pool.
+        let slot = pool.acquire("www.newsday.com");
+        let worker = std::thread::spawn(move || {
+            cat.fetch("newsday", &AccessSpec::new().with(FORD.0, FORD.1)).map(|r| r.len())
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while pool.waits() == 0 && !worker.is_finished() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        drop(slot);
+        worker.join().expect("worker").expect("fetches");
+        assert!(pool.waits() > 0, "the late-built navigator never used the catalog's pool");
     }
 }

@@ -21,7 +21,7 @@ pub mod catalog;
 pub mod handle;
 pub mod memo;
 
-pub use catalog::{VpsCatalog, VpsStats};
+pub use catalog::{CatalogShape, VpsCatalog, VpsStats};
 pub use handle::{derive_handles, Handle};
 pub use memo::{AnswerMemo, LeaderGuard, MemoClaim, MemoKey};
 // Degradation reporting and query budgets surface through every layer;

@@ -104,8 +104,8 @@ fn main() {
         );
         catalog.add_map(web.clone(), map);
     }
-    println!("\n{}", catalog.render_table1());
-    println!("{}", catalog.render_table3());
+    println!("\n{}", catalog.shape().render_table1());
+    println!("{}", catalog.shape().render_table3());
 
     // ── 2./3. The logical layer (trivial here: one relation per site). ─
     let relations = vec![

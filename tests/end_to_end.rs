@@ -178,8 +178,8 @@ fn deterministic_across_rebuilds() {
 fn figure_renderings_are_consistent() {
     let wb = demo();
     // Table 1 names every VPS relation the maps registered.
-    let t1 = wb.layer.vps.render_table1();
-    for rel in wb.layer.vps.relations() {
+    let t1 = wb.layer.vps.shape().render_table1();
+    for rel in wb.layer.vps.shape().relations() {
         assert!(t1.contains(rel), "table 1 missing {rel}");
     }
     // Figure 2 map renders with the Figure 4 program re-parseable.

@@ -32,7 +32,11 @@ fn the_deployed_webbase_is_preflight_clean() {
     let report = wb.check();
     assert!(report.is_clean(), "unexpected findings at seed defaults:\n{}", report.render());
     // The load path accumulated the same verdict per site.
-    assert!(wb.layer.vps.preflight().is_clean(), "{}", wb.layer.vps.preflight().render());
+    assert!(
+        wb.layer.vps.shape().preflight().is_clean(),
+        "{}",
+        wb.layer.vps.shape().preflight().render()
+    );
 }
 
 #[test]
@@ -59,6 +63,7 @@ fn every_deployed_map_carries_semantics_from_the_single_entry_point() {
         let sem = wb
             .layer
             .vps
+            .shape()
             .semantics_for(&map.site)
             .unwrap_or_else(|| panic!("{} loaded without semantics", map.site));
         assert_eq!(sem.host, map.site);
