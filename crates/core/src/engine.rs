@@ -360,8 +360,9 @@ struct ViewRecord {
     /// The VPS relations each object reads, for mapping a changed page
     /// up to the objects it can affect.
     object_rels: Vec<BTreeSet<String>>,
-    /// VPS invocations (memo key + page deps) the answer was built from.
-    invocations: Vec<(MemoKey, Vec<Request>)>,
+    /// VPS invocations (memo key + page deps) the answer was built from,
+    /// in no particular order; the deps lists are the memo's own.
+    invocations: Vec<(MemoKey, Arc<[Request]>)>,
     /// Changed page requests accumulated since invalidation.
     pending: HashSet<Request>,
     /// A node/site-scoped event tainted the whole host: per-page delta
@@ -485,6 +486,12 @@ fn expr_rel_names(expr: &Expr, out: &mut BTreeSet<String>) {
             expr_rel_names(r, out);
         }
     }
+}
+
+/// The session's VPS invocations as `(memo key, page deps)`, sharing
+/// each deps list with the catalog's log.
+fn invocation_deps(layer: &LogicalLayer) -> Vec<(MemoKey, Arc<[Request]>)> {
+    layer.vps.invocation_log().iter().map(|(k, _, d)| (k.clone(), d.clone())).collect()
 }
 
 struct EngineInner {
@@ -888,7 +895,7 @@ impl Engine {
             !isolated && !options.trace && options.budget.is_none() && options.resume.is_none();
         let result_lead = if eligible {
             match inner.results.claim(&AnswerMemo::key(text, &[])) {
-                MemoClaim::Hit(_) => {
+                MemoClaim::Hit(..) => {
                     // A drift event may have invalidated the entry
                     // between the claim and this point; serve the
                     // *current* cache value, vetted by the freshness
@@ -995,9 +1002,11 @@ impl Engine {
             ),
         }
         .map_err(EngineError::Plan)?;
-        // One fold of the executed plan over the shape serves both the
-        // read-set tripwire and the freshness ledger.
+        // One fold of the executed plan over the shape, and one pass over
+        // the run's page reads, serve both the read-set tripwire and the
+        // freshness ledger.
         let fold = (!isolated).then(|| self.fold_plan(&plan));
+        let deps = reads.all();
         // Soundness tripwire: every page this run read must fall inside
         // the plan's static read-set (host granularity — the static set
         // over-approximates, so an escape is an analysis bug, not
@@ -1005,7 +1014,7 @@ impl Engine {
         // they are covered too.
         if let Some(semantics) = fold.as_ref().and_then(|f| f.semantics.as_ref()) {
             let hosts = semantics.hosts();
-            if reads.all().iter().any(|r| !hosts.contains(&r.url.host)) {
+            if deps.iter().any(|r| !hosts.contains(&r.url.host)) {
                 inner.drift_metrics.inc(Metric::ReadsetEscape);
             }
         }
@@ -1027,9 +1036,10 @@ impl Engine {
             let publish =
                 (plan.degradation.is_clean() && plan.resume.is_none()).then(|| relation.clone());
             if let Some(rel) = &publish {
-                self.record_view(text, rel, &plan, &layer, reads.all(), fold);
+                self.record_view(text, rel, &plan, &layer, deps, fold);
             }
-            guard.settle(publish);
+            // The freshness ledger, not the memo, tracks result provenance.
+            guard.settle(publish, None);
         }
         let metrics = obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
         let observation = options
@@ -1141,8 +1151,7 @@ impl Engine {
     ) {
         let inner = &self.inner;
         let static_hosts = fold.semantics.map(|s| s.hosts()).unwrap_or_default();
-        let invocations: Vec<(MemoKey, Vec<Request>)> =
-            layer.vps.invocation_log().iter().map(|(k, _, d)| (k.clone(), d.clone())).collect();
+        let invocations = invocation_deps(layer);
         if let Some(wal) = &inner.wal {
             // Best-effort, like page journalling: losing the record
             // costs warm-restart coverage, not the answer.
@@ -1284,41 +1293,30 @@ impl Engine {
             return RefreshOutcome::Evicted;
         };
         let (query, plan) = (&plan_entry.0, &plan_entry.1);
-        let snapshot = {
-            let ledger = inner.freshness.lock();
-            ledger.views.get(text).map(|r| {
-                (
-                    r.object_results.clone(),
-                    r.object_rels.clone(),
-                    r.invocations.clone(),
-                    r.pending.clone(),
-                    r.pending_host_wide,
-                    r.deps.clone(),
-                )
-            })
-        };
         // Rung 1 applies when per-page provenance lets us bound the
         // affected objects to a strict, non-empty subset.
-        let incremental = snapshot.and_then(|(objects, rels, invocations, pending, wide, deps)| {
-            if wide || pending.is_empty() || objects.len() != plan.objects.len() {
+        let incremental = inner.freshness.lock().views.get(text).and_then(|r| {
+            let objects = plan.objects.len();
+            if r.pending_host_wide
+                || r.pending.is_empty()
+                || r.object_results.len() != objects
+                || r.object_rels.len() != objects
+            {
                 return None;
             }
-            if rels.len() != plan.objects.len() {
-                return None;
-            }
-            let mut affected_rels: BTreeSet<String> = BTreeSet::new();
-            for (key, inv_deps) in &invocations {
-                if inv_deps.is_empty() || inv_deps.iter().any(|d| pending.contains(d)) {
-                    affected_rels.insert(key.0.clone());
-                }
-            }
-            let affected: Vec<usize> = (0..plan.objects.len())
-                .filter(|i| rels[*i].iter().any(|n| affected_rels.contains(n)))
+            let affected_rels: BTreeSet<&str> = r
+                .invocations
+                .iter()
+                .filter(|(_, deps)| deps.is_empty() || deps.iter().any(|d| r.pending.contains(d)))
+                .map(|(key, _)| key.0.as_str())
                 .collect();
-            if affected.is_empty() || affected.len() == plan.objects.len() {
+            let affected: Vec<usize> = (0..objects)
+                .filter(|&i| r.object_rels[i].iter().any(|n| affected_rels.contains(n.as_str())))
+                .collect();
+            if affected.is_empty() || affected.len() == objects {
                 return None; // nothing attributable, or nothing to save
             }
-            Some((objects, affected, deps))
+            Some((r.object_results.clone(), affected, r.deps.clone()))
         });
         if let Some((old_objects, affected, old_deps)) = incremental {
             if let Some(outcome) = self.refresh_delta(text, plan, &old_objects, &affected, old_deps)
@@ -1415,13 +1413,10 @@ impl Engine {
         // replays included) plus the carried-over deps of the objects
         // we did not touch.
         let mut deps = old_deps;
-        for r in reads.all() {
-            if !deps.contains(&r) {
-                deps.push(r);
-            }
-        }
-        let refreshed_invocations: Vec<(MemoKey, Vec<Request>)> =
-            layer.vps.invocation_log().iter().map(|(k, _, d)| (k.clone(), d.clone())).collect();
+        let known: HashSet<&Request> = deps.iter().collect();
+        let fresh: Vec<Request> = reads.all().into_iter().filter(|r| !known.contains(r)).collect();
+        deps.extend(fresh);
+        let refreshed_invocations = invocation_deps(&layer);
         if let Some(wal) = &inner.wal {
             let _ = wal.append_result(text, &value, &deps);
         }
@@ -1437,12 +1432,9 @@ impl Engine {
             rec.pending_host_wide = false;
             // Merge: re-run invocations replace their old entries;
             // untouched objects keep theirs.
-            for (key, inv_deps) in refreshed_invocations {
-                match rec.invocations.iter_mut().find(|(k, _)| *k == key) {
-                    Some(slot) => slot.1 = inv_deps,
-                    None => rec.invocations.push((key, inv_deps)),
-                }
-            }
+            let rerun: HashSet<&MemoKey> = refreshed_invocations.iter().map(|(k, _)| k).collect();
+            rec.invocations.retain(|(k, _)| !rerun.contains(k));
+            rec.invocations.extend(refreshed_invocations);
         }
         inner.drift_metrics.inc(Metric::DeltaRefresh);
         Some(RefreshOutcome::Delta)

@@ -57,7 +57,24 @@ struct StoreInner {
 /// invocation read.
 #[derive(Debug, Clone, Default)]
 pub struct ReadSet {
-    reads: Arc<SafeMutex<Vec<Request>>>,
+    reads: Arc<SafeMutex<Vec<Read>>>,
+}
+
+/// One append to a [`ReadSet`]: a page the session read itself, or the
+/// shared dependency list of an answer it reused.
+#[derive(Debug)]
+enum Read {
+    Page(Request),
+    Chunk(Arc<[Request]>),
+}
+
+impl Read {
+    fn requests(&self) -> &[Request] {
+        match self {
+            Read::Page(req) => std::slice::from_ref(req),
+            Read::Chunk(reqs) => reqs,
+        }
+    }
 }
 
 impl ReadSet {
@@ -66,17 +83,19 @@ impl ReadSet {
     }
 
     pub fn record(&self, req: &Request) {
-        self.reads.lock().push(req.clone());
+        self.reads.lock().push(Read::Page(req.clone()));
     }
 
-    /// Append foreign requests (e.g. the recorded dependencies of a
-    /// memoised answer this session reused without re-fetching).
-    pub fn extend(&self, reqs: &[Request]) {
-        self.reads.lock().extend_from_slice(reqs);
+    /// Append foreign requests as one shared chunk (e.g. the recorded
+    /// dependencies of a memoised answer this session reused without
+    /// re-fetching). An empty chunk records nothing.
+    pub fn extend(&self, reqs: &Arc<[Request]>) {
+        if !reqs.is_empty() {
+            self.reads.lock().push(Read::Chunk(reqs.clone()));
+        }
     }
 
-    /// Requests recorded so far (a position usable with
-    /// [`ReadSet::slice_from`]).
+    /// Appends so far (a position usable with [`ReadSet::slice_from`]).
     pub fn len(&self) -> usize {
         self.reads.lock().len()
     }
@@ -85,7 +104,8 @@ impl ReadSet {
         self.len() == 0
     }
 
-    /// The requests recorded since `mark`, deduplicated, order kept.
+    /// The requests recorded since `mark`, deduplicated, first-seen
+    /// order kept.
     pub fn slice_from(&self, mark: usize) -> Vec<Request> {
         let reads = self.reads.lock();
         let mut seen = std::collections::HashSet::new();
@@ -93,7 +113,8 @@ impl ReadSet {
             .get(mark..)
             .unwrap_or(&[])
             .iter()
-            .filter(|r| seen.insert((*r).clone()))
+            .flat_map(Read::requests)
+            .filter(|r| seen.insert(*r))
             .cloned()
             .collect()
     }
@@ -369,6 +390,31 @@ mod tests {
         // The untracked base handle records nothing.
         let _ = store.get(&r1);
         assert_eq!(reads.len(), 3, "base-handle reads invisible to the session's set");
+    }
+
+    #[test]
+    fn read_set_slices_dedupe_across_records_and_shared_chunks() {
+        let req = |path: &str| Request::get(Url::new("a.test", path));
+        let (r1, r2, r3, r4) = (req("/1"), req("/2"), req("/3"), req("/4"));
+        let reads = ReadSet::new();
+        reads.record(&r1);
+        let chunk: Arc<[Request]> = vec![r2.clone(), r1.clone(), r3.clone()].into();
+        reads.extend(&chunk);
+        reads.extend(&Arc::from([])); // an empty chunk records nothing
+        let mark = reads.len();
+        reads.record(&r3);
+        reads.extend(&chunk);
+        reads.record(&r4);
+        reads.record(&r2);
+        // Duplicates inside and across chunks collapse to their first
+        // sighting; order is arrival order.
+        assert_eq!(reads.all(), vec![r1.clone(), r2.clone(), r3.clone(), r4.clone()]);
+        // A mark taken between calls slices exactly what came after it.
+        assert_eq!(reads.slice_from(mark), vec![r3.clone(), r2.clone(), r1.clone(), r4.clone()]);
+        assert_eq!(reads.slice_from(reads.len()), Vec::<Request>::new());
+        assert_eq!(reads.slice_from(reads.len() + 3), Vec::<Request>::new());
+        // The chunk itself is shared, not copied.
+        assert_eq!(Arc::strong_count(&chunk), 3);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::binding::{propagate, BindingSet};
 use crate::relation::{Relation, Tuple};
 use crate::schema::{Attr, Schema};
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// The values available when a base relation is invoked: equality
@@ -145,20 +145,13 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
             Expr::Rel(name) => {
                 let rel = self.provider.fetch(name, spec)?;
                 // Re-filter by the constants we passed: providers may
-                // over-deliver.
-                let mut out = Relation::new(rel.schema().clone());
-                for t in rel.tuples() {
-                    let keep = spec.iter().all(|(a, v)| {
-                        match rel.schema().index_of(a) {
-                            Some(i) => t.get(i).matches(v),
-                            None => true, // constant on an attr this relation lacks
-                        }
-                    });
-                    if keep {
-                        out.push(t.clone());
-                    }
-                }
-                Ok(out)
+                // over-deliver. A constant on an attribute this relation
+                // lacks filters nothing.
+                let checks: Vec<(usize, &Value)> = spec
+                    .iter()
+                    .filter_map(|(a, v)| rel.schema().index_of(a).map(|i| (i, v)))
+                    .collect();
+                Ok(filtered(rel, |t| checks.iter().all(|&(i, v)| t.get(i).matches(v))))
             }
             Expr::Select(e, p) => {
                 // Push equality constants down so base relations can use
@@ -173,13 +166,7 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                         return Err(EvalError::UnknownAttr(a.to_string()));
                     }
                 }
-                let mut out = Relation::new(input.schema().clone());
-                for t in input.tuples() {
-                    if p.eval(&input, t) {
-                        out.push(t.clone());
-                    }
-                }
-                Ok(out)
+                Ok(filtered(input.clone(), |t| p.eval(&input, t)))
             }
             Expr::Project(e, attrs) => {
                 // Scope boundary: a constant on an attribute the
@@ -270,23 +257,20 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                 } else {
                     (Some(self.eval(l, spec)?), Some(self.eval(r, spec)?))
                 };
-                let schema = match (&lr, &rr) {
-                    (Some(a), Some(b)) => {
-                        if a.schema() != b.schema() {
-                            return Err(EvalError::SchemaMismatch(format!(
-                                "union of {} and {}",
-                                a.schema(),
-                                b.schema()
-                            )));
-                        }
-                        a.schema().clone()
+                if let (Some(a), Some(b)) = (&lr, &rr) {
+                    if a.schema() != b.schema() {
+                        return Err(EvalError::SchemaMismatch(format!(
+                            "union of {} and {}",
+                            a.schema(),
+                            b.schema()
+                        )));
                     }
-                    (Some(a), None) => a.schema().clone(),
-                    (None, Some(b)) => b.schema().clone(),
-                    (None, None) => unreachable!("both sides empty handled above"),
-                };
-                let mut out = Relation::new(schema);
-                for rel in [lr, rr].into_iter().flatten() {
+                }
+                // The first present side is already a set: the other
+                // side's tuples append to it.
+                let mut sides = [lr, rr].into_iter().flatten();
+                let mut out = sides.next().expect("both sides empty handled above");
+                for rel in sides {
                     for t in rel.tuples() {
                         out.push(t.clone());
                     }
@@ -318,20 +302,12 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                 let mut out = Relation::new(schema);
                 for t in input.tuples() {
                     let v = formula.eval_value(&input, t);
-                    let mut vals = t.values().to_vec();
-                    vals.push(v);
-                    out.push(Tuple::from_values(vals));
+                    out.push(Tuple::from_values(t.values().iter().cloned().chain([v])));
                 }
                 // Re-apply any constant on the computed attribute.
                 if let Some(want) = spec.get(attr) {
                     let idx = out.schema().index_of(attr).expect("just added");
-                    let mut filtered = Relation::new(out.schema().clone());
-                    for t in out.tuples() {
-                        if t.get(idx).matches(want) {
-                            filtered.push(t.clone());
-                        }
-                    }
-                    out = filtered;
+                    out = filtered(out, |t| t.get(idx).matches(want));
                 }
                 Ok(out)
             }
@@ -406,25 +382,26 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
         if all_shared_bound && second_bind.satisfied_by(&available) {
             second_rel = self.eval(second, spec)?;
         } else {
-            let mut combos: Vec<Vec<Value>> = Vec::new();
-            let mut seen: std::collections::HashSet<Vec<Value>> = Default::default();
             let idx: Vec<usize> = shared
                 .iter()
                 .map(|a| first_rel.schema().index_of(a).expect("shared attr in first schema"))
                 .collect();
-            for t in first_rel.tuples() {
-                let key: Vec<Value> = idx.iter().map(|&i| t.get(i).clone()).collect();
-                if seen.insert(key.clone()) {
-                    combos.push(key);
-                }
-            }
+            // Distinct combinations in first-seen order, borrowed from
+            // the first side's tuples.
+            let mut seen: HashSet<Vec<&Value>> = HashSet::new();
+            let combos: Vec<Vec<&Value>> = first_rel
+                .tuples()
+                .iter()
+                .map(|t| idx.iter().map(|&i| t.get(i)).collect::<Vec<_>>())
+                .filter(|key| seen.insert(key.clone()))
+                .collect();
             for combo in combos {
                 // Null join keys never match; skip the invocation.
-                if combo.iter().any(Value::is_null) {
+                if combo.iter().any(|v| v.is_null()) {
                     continue;
                 }
                 let mut dep_spec = spec.clone();
-                for (a, v) in shared.iter().zip(&combo) {
+                for (a, &v) in shared.iter().zip(&combo) {
                     dep_spec.insert(a.clone(), v.clone());
                 }
                 let dep_avail = dep_spec.attrs();
@@ -466,27 +443,44 @@ pub fn hash_join(l: &Relation, r: &Relation) -> Relation {
         .filter(|(_, a)| !l.schema().contains(a))
         .map(|(i, _)| i)
         .collect();
-    // Build side: the smaller relation.
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
+    // Build side: always the right input, whatever its size — probing
+    // with the left keeps output tuples in left-then-right order. Keys
+    // borrow the tuples' values.
+    let mut table: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::new();
     for t in r.tuples() {
-        let key: Vec<Value> = r_idx.iter().map(|&i| t.get(i).clone()).collect();
-        if key.iter().any(Value::is_null) {
+        let key: Vec<&Value> = r_idx.iter().map(|&i| t.get(i)).collect();
+        if key.iter().any(|v| v.is_null()) {
             continue;
         }
         table.entry(key).or_default().push(t);
     }
+    let mut key: Vec<&Value> = Vec::with_capacity(l_idx.len());
     for lt in l.tuples() {
-        let key: Vec<Value> = l_idx.iter().map(|&i| lt.get(i).clone()).collect();
-        if key.iter().any(Value::is_null) {
+        key.clear();
+        key.extend(l_idx.iter().map(|&i| lt.get(i)));
+        if key.iter().any(|v| v.is_null()) {
             continue;
         }
         if let Some(matches) = table.get(&key) {
             for rt in matches {
-                let mut vals: Vec<Value> = lt.values().to_vec();
-                vals.extend(r_extra.iter().map(|&i| rt.get(i).clone()));
-                out.push(Tuple::from_values(vals));
+                let extra = r_extra.iter().map(|&i| rt.get(i).clone());
+                out.push(Tuple::from_values(lt.values().iter().cloned().chain(extra)));
             }
         }
+    }
+    out
+}
+
+/// The tuples of `rel` that satisfy `keep`, in order. When every tuple
+/// does, `rel` itself comes back: no tuple is copied or re-indexed.
+fn filtered(rel: Relation, keep: impl Fn(&Tuple) -> bool) -> Relation {
+    let tuples = rel.tuples();
+    let Some(drop) = tuples.iter().position(|t| !keep(t)) else {
+        return rel;
+    };
+    let mut out = Relation::new(rel.schema().clone());
+    for t in tuples[..drop].iter().chain(tuples[drop + 1..].iter().filter(|t| keep(t))) {
+        out.push(t.clone());
     }
     out
 }
@@ -718,6 +712,46 @@ mod tests {
         let e = Expr::relation("cars").select(Pred::eq("make", "jaguar"));
         let r = Evaluator::new(&mut p).eval(&e, &AccessSpec::new()).expect("evals");
         assert_eq!(r.len(), 1);
+        // Dropping a later tuple keeps the survivors in provider order.
+        let e = Expr::relation("cars").select(Pred::eq("make", "ford"));
+        let r = Evaluator::new(&mut p).eval(&e, &AccessSpec::new()).expect("evals");
+        let urls: Vec<&Value> = r.tuples().iter().map(|t| t.get(3)).collect();
+        assert_eq!(urls, [&Value::str("/1"), &Value::str("/2")]);
+    }
+
+    #[test]
+    fn exact_provider_answers_pass_through_in_order() {
+        /// A provider that returns exactly the matching tuples and keeps
+        /// a handle on each answer it served.
+        struct Exact {
+            inner: MemoryProvider,
+            served: Vec<Relation>,
+        }
+        impl RelationProvider for Exact {
+            fn schema(&self, n: &str) -> Option<Schema> {
+                self.inner.schema(n)
+            }
+            fn bindings(&self, n: &str) -> Option<BindingSet> {
+                self.inner.bindings(n)
+            }
+            fn fetch(&mut self, n: &str, s: &AccessSpec) -> Result<Relation, EvalError> {
+                let rel = self.inner.fetch(n, s)?;
+                self.served.push(rel.clone());
+                Ok(rel)
+            }
+        }
+        let mut inner = MemoryProvider::new();
+        inner.add("cars", cars());
+        let mut p = Exact { inner, served: Vec::new() };
+        let e = Expr::relation("cars").select(Pred::eq("make", "ford"));
+        let r = Evaluator::new(&mut p).eval(&e, &AccessSpec::new()).expect("evals");
+        let served = &p.served[0];
+        assert_eq!(r.tuples(), served.tuples(), "same tuples, same order");
+        assert_eq!(r.len(), 2);
+        // Nothing was re-inserted: the answer shares the served values.
+        for (got, sent) in r.tuples().iter().zip(served.tuples()) {
+            assert!(std::ptr::eq(got.values(), sent.values()));
+        }
     }
 }
 

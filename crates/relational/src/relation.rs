@@ -1,15 +1,26 @@
-//! Tuples and relations (set semantics).
+//! Tuples and relations: set semantics with copy-on-write sharing.
+//!
+//! A tuple's values sit behind one `Arc`, so copying a tuple into an
+//! operator's output or a relation's dedup index bumps a reference
+//! count instead of cloning its strings. A relation keeps its tuple
+//! list and dedup index behind `Arc`s too: cloning one is O(1), and the
+//! first `push` into a relation that shares storage copies the list and
+//! the index for that relation alone (`Arc::make_mut`; the tuples stay
+//! shared). A write through one handle is never visible through
+//! another, so caches can hand the same relation to many readers.
 
 use crate::schema::{Attr, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
-/// A tuple: values positionally aligned with a [`Schema`].
+/// A tuple: values positionally aligned with a [`Schema`]. Clones share
+/// the values; equality and hashing are by value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
@@ -37,21 +48,22 @@ impl Tuple {
     }
 }
 
-/// A relation: a schema plus a deduplicated multiset of tuples.
+/// A relation: a schema plus a deduplicated set of tuples.
 ///
 /// Insertion order is preserved (useful for stable test output); set
-/// semantics are enforced with a hash index.
+/// semantics are enforced with a hash index. Clones share the tuple
+/// list and the index until one of them is written.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
-    tuples: Vec<Tuple>,
+    tuples: Arc<Vec<Tuple>>,
     #[serde(skip)]
-    seen: HashSet<Tuple>,
+    seen: Arc<HashSet<Tuple>>,
 }
 
 impl Relation {
     pub fn new(schema: Schema) -> Relation {
-        Relation { schema, tuples: Vec::new(), seen: HashSet::new() }
+        Relation { schema, tuples: Arc::default(), seen: Arc::default() }
     }
 
     /// Build a relation from rows; arity mismatches panic (construction
@@ -85,7 +97,8 @@ impl Relation {
     }
 
     /// Insert a tuple (ignored if already present). Panics on arity
-    /// mismatch.
+    /// mismatch. The first insert into a relation that shares storage
+    /// with a clone copies the tuple list and index for this one.
     pub fn push(&mut self, t: Tuple) {
         assert_eq!(
             t.len(),
@@ -94,8 +107,12 @@ impl Relation {
             t.len(),
             self.schema
         );
-        if self.seen.insert(t.clone()) {
-            self.tuples.push(t);
+        // A duplicate never unshares; a new tuple is hashed once.
+        if Arc::get_mut(&mut self.seen).is_none() && self.seen.contains(&t) {
+            return;
+        }
+        if Arc::make_mut(&mut self.seen).insert(t.clone()) {
+            Arc::make_mut(&mut self.tuples).push(t);
         }
     }
 
@@ -152,8 +169,9 @@ impl PartialEq for Relation {
     /// *set* of tuples (order-insensitive).
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
-            && self.tuples.len() == other.tuples.len()
-            && self.tuples.iter().all(|t| other.seen.contains(t))
+            && (Arc::ptr_eq(&self.tuples, &other.tuples)
+                || self.tuples.len() == other.tuples.len()
+                    && self.tuples.iter().all(|t| other.seen.contains(t)))
     }
 }
 
@@ -162,15 +180,6 @@ impl Eq for Relation {}
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_table())
-    }
-}
-
-// serde skip leaves `seen` empty after deserialisation; rebuild it.
-impl Relation {
-    /// Rebuild the dedup index (after deserialisation).
-    pub fn reindex(&mut self) {
-        self.seen = self.tuples.iter().cloned().collect();
-        self.tuples.dedup_by(|a, b| a == b);
     }
 }
 
@@ -226,6 +235,45 @@ mod tests {
         let txt = rel().to_table();
         assert!(txt.contains("make"));
         assert!(txt.lines().count() >= 4);
+    }
+
+    #[test]
+    fn clones_share_storage_until_written() {
+        let original = rel();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.tuples, &copy.tuples));
+        assert!(Arc::ptr_eq(&original.seen, &copy.seen));
+        // A duplicate push is a no-op and keeps the storage shared.
+        copy.push(Tuple::from_values([Value::str("ford"), Value::Int(500)]));
+        assert!(Arc::ptr_eq(&original.tuples, &copy.tuples));
+        copy.push(Tuple::from_values([Value::str("saab"), Value::Int(700)]));
+        assert!(!Arc::ptr_eq(&original.tuples, &copy.tuples));
+        assert_eq!(copy.len(), 3);
+        // The original is untouched by the write through its clone.
+        assert_eq!(original.len(), 2);
+        assert_eq!(original.tuples(), rel().tuples());
+        assert_eq!(original, rel());
+        assert_ne!(original, copy);
+        // The copy's tuples keep their order, the new one last, and
+        // still share their values with the original's.
+        assert_eq!(&copy.tuples()[..2], original.tuples());
+        assert!(Arc::ptr_eq(&copy.tuples()[0].values, &original.tuples()[0].values));
+        // Its index was copied too: set semantics still hold.
+        copy.push(Tuple::from_values([Value::str("saab"), Value::Int(700)]));
+        assert_eq!(copy.len(), 3);
+    }
+
+    #[test]
+    fn equal_tuples_built_separately_are_equal_and_hash_equally() {
+        use std::hash::{BuildHasher, RandomState};
+        let a = Tuple::from_values([Value::str("ford"), Value::Int(500), Value::Null]);
+        let b = Tuple::from_values(vec![Value::str("ford"), Value::Int(500), Value::Null]);
+        assert!(!Arc::ptr_eq(&a.values, &b.values));
+        assert_eq!(a, b);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        let set: HashSet<Tuple> = [a, b].into_iter().collect();
+        assert_eq!(set.len(), 1);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// An attribute name. Comparison is case-sensitive; the logical layer's
 /// standardisation pass is responsible for canonicalising names across
@@ -37,10 +38,11 @@ impl From<String> for Attr {
     }
 }
 
-/// An ordered list of distinct attributes.
+/// An ordered list of distinct attributes. Immutable once built, so
+/// clones share one attribute list.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Schema {
-    attrs: Vec<Attr>,
+    attrs: Arc<[Attr]>,
 }
 
 impl Schema {
@@ -55,7 +57,7 @@ impl Schema {
         for (i, a) in attrs.iter().enumerate() {
             assert!(!attrs[..i].contains(a), "duplicate attribute {a} in schema");
         }
-        Schema { attrs }
+        Schema { attrs: attrs.into() }
     }
 
     pub fn attrs(&self) -> &[Attr] {
@@ -87,13 +89,13 @@ impl Schema {
     /// The natural-join result schema: this schema followed by `other`'s
     /// attributes not already present.
     pub fn join(&self, other: &Schema) -> Schema {
-        let mut attrs = self.attrs.clone();
-        for a in &other.attrs {
+        let mut attrs = self.attrs.to_vec();
+        for a in other.attrs.iter() {
             if !attrs.contains(a) {
                 attrs.push(a.clone());
             }
         }
-        Schema { attrs }
+        Schema { attrs: attrs.into() }
     }
 
     /// Projection onto `keep` (in `keep` order). Attributes absent from

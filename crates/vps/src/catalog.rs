@@ -270,7 +270,7 @@ pub struct VpsCatalog {
     /// Every invocation this catalog served, with its answer and page
     /// dependencies — the base-relation log incremental view
     /// maintenance re-runs selectively.
-    invocation_log: Vec<(crate::memo::MemoKey, Relation, Vec<Request>)>,
+    invocation_log: Vec<(crate::memo::MemoKey, Relation, Arc<[Request]>)>,
 }
 
 impl Default for VpsCatalog {
@@ -448,9 +448,9 @@ impl VpsCatalog {
     }
 
     /// Invocations served so far: `(memo key, answer, page deps)` in
-    /// execution order. Memo hits appear too, carrying the leader's
-    /// recorded dependencies.
-    pub fn invocation_log(&self) -> &[(crate::memo::MemoKey, Relation, Vec<Request>)] {
+    /// execution order. Memo hits appear too, sharing the leader's
+    /// recorded dependencies (empty when none were recorded).
+    pub fn invocation_log(&self) -> &[(crate::memo::MemoKey, Relation, Arc<[Request]>)] {
         &self.invocation_log
     }
 
@@ -586,43 +586,41 @@ impl RelationProvider for VpsCatalog {
         // Where this session's page reads stood before the invocation:
         // everything recorded past this mark is what the invocation read.
         let read_mark = self.reads.as_ref().map(ReadSet::len).unwrap_or(0);
+        let key = AnswerMemo::key(name, &given);
         let memo_lead = match (&self.memo, &self.budget) {
-            (Some(memo), None) => {
-                let key = AnswerMemo::key(name, &given);
-                match memo.claim(&key) {
-                    MemoClaim::Hit(rel) => {
-                        // A hit fetches nothing, but the answer still
-                        // *depends* on the pages its leader read — fold
-                        // them into this session's read set so the
-                        // result-cache entry records them too.
-                        let deps = memo.deps_of(&key);
-                        if let Some(reads) = &self.reads {
-                            reads.extend(&deps);
-                        }
-                        self.obs.count(Metric::HandleInvocations);
-                        self.obs.count_n(Metric::TuplesEmitted, rel.len() as u64);
-                        if self.obs.tracing() {
-                            self.obs.sink.advance(QUERY_TRACK, self.stats.total_network());
-                            self.obs.sink.event(
-                                QUERY_TRACK,
-                                SpanKind::Handle,
-                                name.to_string(),
-                                vec![
-                                    ("disposition", "memo_hit".to_string()),
-                                    ("tuples", rel.len().to_string()),
-                                ],
-                            );
-                        }
-                        *self.stats.invocations.entry(name.to_string()).or_default() += 1;
-                        self.invocation_log.push((key, rel.clone(), deps));
-                        return Ok(rel);
+            (Some(memo), None) => match memo.claim(&key) {
+                MemoClaim::Hit(rel, deps) => {
+                    // A hit fetches nothing, but the answer still
+                    // *depends* on the pages its leader read — fold
+                    // them into this session's read set so the
+                    // result-cache entry records them too.
+                    let deps = deps.unwrap_or_else(|| Arc::from([]));
+                    if let Some(reads) = &self.reads {
+                        reads.extend(&deps);
                     }
-                    // Held through the computation below; an early
-                    // error return drops it, releasing the key so a
-                    // waiter takes over as leader.
-                    MemoClaim::Leader(guard) => Some(guard),
+                    self.obs.count(Metric::HandleInvocations);
+                    self.obs.count_n(Metric::TuplesEmitted, rel.len() as u64);
+                    if self.obs.tracing() {
+                        self.obs.sink.advance(QUERY_TRACK, self.stats.total_network());
+                        self.obs.sink.event(
+                            QUERY_TRACK,
+                            SpanKind::Handle,
+                            name.to_string(),
+                            vec![
+                                ("disposition", "memo_hit".to_string()),
+                                ("tuples", rel.len().to_string()),
+                            ],
+                        );
+                    }
+                    *self.stats.invocations.entry(name.to_string()).or_default() += 1;
+                    self.invocation_log.push((key, rel.clone(), deps));
+                    return Ok(rel);
                 }
-            }
+                // Held through the computation below; an early
+                // error return drops it, releasing the key so a
+                // waiter takes over as leader.
+                MemoClaim::Leader(guard) => Some(guard),
+            },
             _ => None,
         };
         let navigator = self.site_navigator(e.site);
@@ -695,22 +693,17 @@ impl RelationProvider for VpsCatalog {
         }
         // The pages this invocation read (cache hits and fresh fetches
         // alike — either way the answer was computed from them).
-        let deps = self.reads.as_ref().map(|r| r.slice_from(read_mark)).unwrap_or_default();
+        let deps: Arc<[Request]> =
+            self.reads.as_ref().map(|r| r.slice_from(read_mark)).unwrap_or_default().into();
         // Memoize only answers from a navigator that has never seen
         // degradation: a truncated or partially healed run must not be
         // replayed to other queries as complete. Settling `None` still
         // releases the key and wakes waiting sessions.
         if let Some(guard) = memo_lead {
-            if navigator.degradation().is_clean() {
-                if let Some(memo) = &self.memo {
-                    memo.set_deps(&AnswerMemo::key(name, &given), deps.clone());
-                }
-                guard.settle(Some(rel.clone()));
-            } else {
-                guard.settle(None);
-            }
+            let clean = navigator.degradation().is_clean();
+            guard.settle(clean.then(|| rel.clone()), Some(deps.clone()));
         }
-        self.invocation_log.push((AnswerMemo::key(name, &given), rel.clone(), deps));
+        self.invocation_log.push((key, rel.clone(), deps));
         Ok(rel)
     }
 }

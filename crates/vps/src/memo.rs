@@ -26,14 +26,21 @@ use webbase_webworld::request::Request;
 /// attribute so equivalent specs collide.
 pub type MemoKey = (String, Vec<(String, Value)>);
 
+/// One memoised answer and the page requests it was computed from —
+/// recorded by the leader so drift in any of those pages evicts exactly
+/// the dependent entries, and so a memo *hit* can report the same
+/// dependencies without re-fetching anything. `None` deps mean unknown
+/// provenance: any drift event evicts the entry. Both halves are shared
+/// (`Relation` and `Arc`), so a hit copies neither.
+#[derive(Debug)]
+struct Entry {
+    answer: Relation,
+    deps: Option<Arc<[Request]>>,
+}
+
 #[derive(Debug)]
 struct MemoInner {
-    answers: SafeRwLock<HashMap<MemoKey, Relation>>,
-    /// The page requests each memoised answer was computed from —
-    /// recorded by the leader so drift in any of those pages can evict
-    /// exactly the dependent entries (and so a memo *hit* can report
-    /// the same dependencies without re-fetching anything).
-    deps: SafeRwLock<HashMap<MemoKey, Vec<Request>>>,
+    answers: SafeRwLock<HashMap<MemoKey, Entry>>,
     /// Keys some session is computing right now (singleflight): a
     /// second session asking for an in-flight key waits for the
     /// leader's answer instead of recomputing it.
@@ -65,7 +72,6 @@ impl AnswerMemo {
         AnswerMemo {
             inner: Arc::new(MemoInner {
                 answers: SafeRwLock::new(HashMap::new()),
-                deps: SafeRwLock::new(HashMap::new()),
                 inflight: SafeMutex::new(HashSet::new()),
                 settled: Condvar::new(),
                 hits: AtomicU64::new(0),
@@ -84,7 +90,7 @@ impl AnswerMemo {
     }
 
     pub fn get(&self, key: &MemoKey) -> Option<Relation> {
-        let found = self.inner.answers.read().get(key).cloned();
+        let found = self.peek(key);
         match &found {
             Some(_) => self.inner.hits.fetch_add(1, Ordering::Relaxed),
             None => self.inner.misses.fetch_add(1, Ordering::Relaxed),
@@ -92,93 +98,73 @@ impl AnswerMemo {
         found
     }
 
+    /// Memoise an answer of unknown provenance (any drift event evicts
+    /// it).
     pub fn insert(&self, key: MemoKey, answer: Relation) {
-        self.inner.answers.write().insert(key, answer);
+        self.inner.answers.write().insert(key, Entry { answer, deps: None });
     }
 
     /// Current answer for `key` without touching the hit/miss counters
     /// (freshness re-checks must not distort cache accounting).
     pub fn peek(&self, key: &MemoKey) -> Option<Relation> {
-        self.inner.answers.read().get(key).cloned()
+        self.inner.answers.read().get(key).map(|e| e.answer.clone())
     }
 
-    /// Evict one entry (and its recorded deps). Returns whether an
-    /// answer was actually present.
+    /// Evict one entry (its answer and deps). Returns whether an answer
+    /// was actually present.
     pub fn remove(&self, key: &MemoKey) -> bool {
-        self.inner.deps.write().remove(key);
         self.inner.answers.write().remove(key).is_some()
     }
 
-    /// Record the page requests `key`'s answer was computed from.
-    pub fn set_deps(&self, key: &MemoKey, deps: Vec<Request>) {
-        self.inner.deps.write().insert(key.clone(), deps);
-    }
-
-    /// The recorded page dependencies of a memoised answer.
-    pub fn deps_of(&self, key: &MemoKey) -> Vec<Request> {
-        self.inner.deps.read().get(key).cloned().unwrap_or_default()
-    }
-
     /// Evict every entry that read one of `changed` — plus, conservatively,
-    /// entries with *no* recorded dependencies (pre-tracking answers whose
-    /// provenance is unknown). Returns the evicted keys.
+    /// entries with *no* recorded dependencies (answers whose provenance
+    /// is unknown). Returns the evicted keys.
     pub fn invalidate_dependents(&self, changed: &[Request]) -> Vec<MemoKey> {
         let changed: HashSet<&Request> = changed.iter().collect();
-        let deps = self.inner.deps.read();
-        let mut victims: Vec<MemoKey> = Vec::new();
-        for key in self.inner.answers.read().keys() {
-            match deps.get(key) {
-                Some(reads) => {
-                    if reads.iter().any(|r| changed.contains(r)) {
-                        victims.push(key.clone());
-                    }
-                }
-                None => victims.push(key.clone()),
-            }
-        }
-        drop(deps);
-        self.remove_all(&victims);
-        victims
+        self.invalidate_where(|r| changed.contains(r))
     }
 
     /// Evict every entry whose recorded dependencies touch `host` —
     /// plus, conservatively, deps-less entries. Returns the evicted keys.
     pub fn invalidate_host(&self, host: &str) -> Vec<MemoKey> {
-        let deps = self.inner.deps.read();
-        let mut victims: Vec<MemoKey> = Vec::new();
-        for key in self.inner.answers.read().keys() {
-            match deps.get(key) {
-                Some(reads) => {
-                    if reads.iter().any(|r| r.url.host == host) {
-                        victims.push(key.clone());
-                    }
-                }
-                None => victims.push(key.clone()),
+        self.invalidate_where(|r| r.url.host == host)
+    }
+
+    /// Evict every entry with a dependency matching `drifted`, or with
+    /// no recorded dependencies.
+    fn invalidate_where(&self, drifted: impl Fn(&Request) -> bool) -> Vec<MemoKey> {
+        let victims: Vec<MemoKey> = self
+            .inner
+            .answers
+            .read()
+            .iter()
+            .filter(|(_, e)| e.deps.as_ref().is_none_or(|deps| deps.iter().any(&drifted)))
+            .map(|(key, _)| key.clone())
+            .collect();
+        if !victims.is_empty() {
+            let mut answers = self.inner.answers.write();
+            for key in &victims {
+                answers.remove(key);
             }
         }
-        drop(deps);
-        self.remove_all(&victims);
         victims
     }
 
-    fn remove_all(&self, keys: &[MemoKey]) {
-        if keys.is_empty() {
-            return;
-        }
-        let mut answers = self.inner.answers.write();
-        let mut deps = self.inner.deps.write();
-        for key in keys {
-            answers.remove(key);
-            deps.remove(key);
-        }
+    /// The memoised answer and deps for `key`, counted as a hit.
+    fn hit(&self, key: &MemoKey) -> Option<MemoClaim> {
+        let answers = self.inner.answers.read();
+        let entry = answers.get(key)?;
+        self.inner.hits.fetch_add(1, Ordering::Relaxed);
+        Some(MemoClaim::Hit(entry.answer.clone(), entry.deps.clone()))
     }
 
     /// Singleflight claim: either a memoised answer, or leadership of
-    /// this key's computation. When another session is already
-    /// computing the key, the caller blocks until that leader settles
-    /// and then retries — under a concurrent thundering herd, one
-    /// session pays for each distinct invocation and every other
-    /// session gets it for a hash lookup.
+    /// this key's computation. A settled key is a plain read of the
+    /// answer map; only a miss takes the in-flight lock. When another
+    /// session is already computing the key, the caller blocks until
+    /// that leader settles and then retries — under a concurrent
+    /// thundering herd, one session pays for each distinct invocation
+    /// and every other session gets it for a hash lookup.
     ///
     /// Deadlock-free by construction: a session leads at most one key
     /// at a time (invocations are not nested), and a leader never
@@ -187,17 +173,18 @@ impl AnswerMemo {
     /// re-checks every 50ms, so if a leader vanishes without settling
     /// (its query failed), a waiter takes over.
     pub fn claim(&self, key: &MemoKey) -> MemoClaim {
+        if let Some(hit) = self.hit(key) {
+            return hit;
+        }
         let mut first = true;
         loop {
-            let inflight = self.inner.inflight.lock();
+            let mut inflight = self.inner.inflight.lock();
             // Answers are published *before* the in-flight mark is
             // cleared, so checking under the in-flight lock cannot
             // miss a settling leader.
-            if let Some(rel) = self.inner.answers.read().get(key).cloned() {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return MemoClaim::Hit(rel);
+            if let Some(hit) = self.hit(key) {
+                return hit;
             }
-            let mut inflight = inflight;
             if inflight.insert(key.clone()) {
                 if first {
                     self.inner.misses.fetch_add(1, Ordering::Relaxed);
@@ -246,8 +233,9 @@ impl AnswerMemo {
 /// What `AnswerMemo::claim` resolved to.
 #[derive(Debug)]
 pub enum MemoClaim {
-    /// A previous identical invocation already settled its answer.
-    Hit(Relation),
+    /// A previous identical invocation already settled this answer,
+    /// with the page requests it was computed from (`None`: unknown).
+    Hit(Relation, Option<Arc<[Request]>>),
     /// The caller owns this key's computation; every other session
     /// asking for it waits until the guard settles (or is dropped).
     Leader(LeaderGuard),
@@ -265,10 +253,12 @@ pub struct LeaderGuard {
 
 impl LeaderGuard {
     /// Publish the computed answer — `None` when the run degraded and
-    /// must not be replayed to other tenants — then release the key.
-    pub fn settle(self, answer: Option<Relation>) {
-        if let Some(rel) = answer {
-            self.memo.insert(self.key.clone(), rel);
+    /// must not be replayed to other tenants — with the page requests
+    /// it was computed from (`None`: unknown provenance), then release
+    /// the key.
+    pub fn settle(self, answer: Option<Relation>, deps: Option<Arc<[Request]>>) {
+        if let Some(answer) = answer {
+            self.memo.inner.answers.write().insert(self.key.clone(), Entry { answer, deps });
         }
         // Drop runs next: it clears the in-flight mark *after* the
         // answer is visible, which is the ordering `claim` relies on.
@@ -333,11 +323,11 @@ mod tests {
         let memo = AnswerMemo::new();
         let key = AnswerMemo::key("r", &[]);
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(Some(one_row())),
-            MemoClaim::Hit(_) => panic!("empty memo cannot hit"),
+            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), None),
+            MemoClaim::Hit(..) => panic!("empty memo cannot hit"),
         }
         match memo.claim(&key) {
-            MemoClaim::Hit(rel) => assert_eq!(rel.len(), 1),
+            MemoClaim::Hit(rel, _) => assert_eq!(rel.len(), 1),
             MemoClaim::Leader(_) => panic!("settled key must hit"),
         }
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
@@ -350,20 +340,20 @@ mod tests {
         let key = AnswerMemo::key("r", &[("a".to_string(), Value::str("1"))]);
         let leader = match memo.claim(&key) {
             MemoClaim::Leader(guard) => guard,
-            MemoClaim::Hit(_) => panic!("empty memo cannot hit"),
+            MemoClaim::Hit(..) => panic!("empty memo cannot hit"),
         };
         let herd: Vec<_> = (0..4)
             .map(|_| {
                 let memo = memo.clone();
                 let key = key.clone();
                 std::thread::spawn(move || match memo.claim(&key) {
-                    MemoClaim::Hit(rel) => rel.len(),
+                    MemoClaim::Hit(rel, _) => rel.len(),
                     MemoClaim::Leader(_) => panic!("key is led; follower must wait for the answer"),
                 })
             })
             .collect();
         std::thread::sleep(Duration::from_millis(20));
-        leader.settle(Some(one_row()));
+        leader.settle(Some(one_row()), None);
         for worker in herd {
             assert_eq!(worker.join().expect("follower"), 1);
         }
@@ -381,7 +371,7 @@ mod tests {
             std::thread::spawn(move || {
                 let _leader = match memo.claim(&key) {
                     MemoClaim::Leader(guard) => guard,
-                    MemoClaim::Hit(_) => panic!("empty memo cannot hit"),
+                    MemoClaim::Hit(..) => panic!("empty memo cannot hit"),
                 };
                 panic!("chaos: leader dies mid-computation");
             })
@@ -391,11 +381,11 @@ mod tests {
         // The key is released: the next claimant becomes leader and the
         // herd converges as if the panic never happened.
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(Some(one_row())),
-            MemoClaim::Hit(_) => panic!("nothing was published by the panicker"),
+            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), None),
+            MemoClaim::Hit(..) => panic!("nothing was published by the panicker"),
         }
         match memo.claim(&key) {
-            MemoClaim::Hit(rel) => assert_eq!(rel.len(), 1),
+            MemoClaim::Hit(rel, _) => assert_eq!(rel.len(), 1),
             MemoClaim::Leader(_) => panic!("settled key must hit"),
         }
     }
@@ -421,10 +411,50 @@ mod tests {
         assert_eq!(memo.get(&key).expect("still memoised").len(), 1);
         memo.insert(AnswerMemo::key("s", &[]), one_row());
         match memo.claim(&AnswerMemo::key("t", &[])) {
-            MemoClaim::Leader(guard) => guard.settle(None),
-            MemoClaim::Hit(_) => panic!("unknown key cannot hit"),
+            MemoClaim::Leader(guard) => guard.settle(None, None),
+            MemoClaim::Hit(..) => panic!("unknown key cannot hit"),
         }
         assert!(webbase_obs::sync::poison_recoveries() > before);
+    }
+
+    /// Lead `key` and settle `one_row()` with `deps`.
+    fn settle_with(memo: &AnswerMemo, key: &MemoKey, deps: Vec<Request>) {
+        match memo.claim(key) {
+            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), Some(deps.into())),
+            MemoClaim::Hit(..) => panic!("key settled twice"),
+        }
+    }
+
+    fn deps_of(memo: &AnswerMemo, key: &MemoKey) -> Option<Vec<Request>> {
+        match memo.claim(key) {
+            MemoClaim::Hit(_, deps) => deps.map(|d| d.to_vec()),
+            MemoClaim::Leader(_) => panic!("key is not memoised"),
+        }
+    }
+
+    #[test]
+    fn a_hit_returns_the_deps_settled_with_its_answer() {
+        use webbase_webworld::prelude::Url;
+        let memo = AnswerMemo::new();
+        let pages =
+            vec![Request::get(Url::new("a.test", "/1")), Request::get(Url::new("a.test", "/2"))];
+        let key = AnswerMemo::key("r", &[]);
+        settle_with(&memo, &key, pages.clone());
+        match memo.claim(&key) {
+            MemoClaim::Hit(rel, deps) => {
+                assert_eq!(rel, one_row());
+                assert_eq!(deps.as_deref(), Some(&pages[..]));
+                // Two hits share one deps list.
+                let MemoClaim::Hit(_, again) = memo.claim(&key) else { panic!("settled") };
+                assert!(Arc::ptr_eq(&deps.expect("deps"), &again.expect("deps")));
+            }
+            MemoClaim::Leader(_) => panic!("settled key must hit"),
+        }
+        // An answer inserted without deps hits with unknown provenance.
+        let legacy = AnswerMemo::key("legacy", &[]);
+        memo.insert(legacy.clone(), one_row());
+        assert_eq!(deps_of(&memo, &legacy), None);
+        assert_eq!((memo.hits(), memo.misses()), (3, 1));
     }
 
     #[test]
@@ -436,12 +466,10 @@ mod tests {
         let on_a = AnswerMemo::key("r_a", &[]);
         let on_b = AnswerMemo::key("r_b", &[]);
         let unknown = AnswerMemo::key("legacy", &[]);
-        memo.insert(on_a.clone(), one_row());
-        memo.set_deps(&on_a, vec![page_a.clone()]);
-        memo.insert(on_b.clone(), one_row());
-        memo.set_deps(&on_b, vec![page_b.clone()]);
+        settle_with(&memo, &on_a, vec![page_a.clone()]);
+        settle_with(&memo, &on_b, vec![page_b.clone()]);
         memo.insert(unknown.clone(), one_row());
-        assert_eq!(memo.deps_of(&on_a), vec![page_a.clone()]);
+        assert_eq!(deps_of(&memo, &on_a), Some(vec![page_a.clone()]));
 
         // page_a drifts: r_a dies, r_b survives, deps-less legacy dies
         // conservatively.
@@ -450,12 +478,19 @@ mod tests {
         assert!(memo.get(&on_a).is_none());
         assert!(memo.get(&unknown).is_none());
         assert!(memo.get(&on_b).is_some());
-        assert!(memo.deps_of(&on_a).is_empty(), "deps evicted with the answer");
+        // The deps went with the answer: a fresh claim leads, and the
+        // new answer carries only what it was settled with.
+        settle_with(&memo, &on_a, vec![page_b.clone()]);
+        assert_eq!(deps_of(&memo, &on_a), Some(vec![page_b.clone()]));
+        assert!(memo.invalidate_dependents(std::slice::from_ref(&page_a)).is_empty());
 
-        // Host-wide invalidation takes out the rest of b.test.
-        let evicted = memo.invalidate_host("b.test");
-        assert_eq!(evicted, vec![on_b.clone()]);
-        assert!(memo.get(&on_b).is_none());
+        // Host-wide invalidation takes out the rest of b.test, answers
+        // and deps together, and a deps-less answer with them.
+        memo.insert(unknown.clone(), one_row());
+        let mut evicted = memo.invalidate_host("b.test");
+        evicted.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(evicted, vec![unknown.clone(), on_a.clone(), on_b.clone()]);
+        assert!(memo.is_empty());
     }
 
     #[test]
@@ -464,12 +499,12 @@ mod tests {
         let key = AnswerMemo::key("r", &[]);
         let leader = match memo.claim(&key) {
             MemoClaim::Leader(guard) => guard,
-            MemoClaim::Hit(_) => panic!("empty memo cannot hit"),
+            MemoClaim::Hit(..) => panic!("empty memo cannot hit"),
         };
         drop(leader); // failed computation: nothing published
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(None),
-            MemoClaim::Hit(_) => panic!("nothing was published"),
+            MemoClaim::Leader(guard) => guard.settle(None, None),
+            MemoClaim::Hit(..) => panic!("nothing was published"),
         }
         assert!(memo.is_empty());
     }
