@@ -301,9 +301,12 @@ impl PageStore {
     }
 
     /// Every interned request, in insertion order — the revalidation
-    /// sweep's worklist.
-    pub fn requests(&self) -> Vec<Request> {
-        self.inner.state.read().order.iter().cloned().collect()
+    /// sweep's worklist. With a `host`, only that host's requests are
+    /// cloned (the filter runs under the read lock).
+    pub fn requests(&self, host: Option<&str>) -> Vec<Request> {
+        let state = self.inner.state.read();
+        let on_host = |r: &&Request| host.is_none_or(|h| r.url.host == h);
+        state.order.iter().filter(on_host).cloned().collect()
     }
 
     /// Do two handles name the same underlying store?
@@ -424,9 +427,11 @@ mod tests {
         let (r2, p2) = page("b.test", "/2");
         store.insert(r1.clone(), p1);
         store.insert(r2.clone(), p2);
-        assert_eq!(store.requests(), vec![r1.clone(), r2]);
+        assert_eq!(store.requests(None), vec![r1.clone(), r2.clone()]);
+        assert_eq!(store.requests(Some("b.test")), vec![r2]);
+        assert_eq!(store.requests(Some("c.test")), Vec::<Request>::new());
         store.evict(&r1);
-        assert_eq!(store.requests().len(), 1);
+        assert_eq!(store.requests(None).len(), 1);
     }
 
     #[test]
