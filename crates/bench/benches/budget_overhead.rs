@@ -35,7 +35,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
         let map = wb.map_for(host).expect("mapped").clone();
         let relation =
             webbase::timing::timing_relations().iter().find(|(h, _)| *h == host).unwrap().1;
-        let web = wb.web.clone();
+        let web = wb.web().clone();
         // Soundness preconditions, checked once and loudly: the generous
         // budget never denies, and admission charges no simulated time.
         {

@@ -13,7 +13,7 @@ use webbase_relational::Value;
 fn bench_caching(c: &mut Criterion) {
     let wb = lan_webbase();
     let map = wb.map_for("www.newsday.com").expect("mapped").clone();
-    let web = wb.web.clone();
+    let web = wb.web().clone();
     let given = vec![("make".to_string(), Value::str("ford"))];
     let mut group = c.benchmark_group("fetch_cache");
     group.sample_size(20);

@@ -21,7 +21,7 @@ fn bench_repair_overhead(c: &mut Criterion) {
         let map = wb.map_for(host).expect("mapped").clone();
         let relation =
             webbase::timing::timing_relations().iter().find(|(h, _)| *h == host).unwrap().1;
-        let web = wb.web.clone();
+        let web = wb.web().clone();
         group.bench_function(format!("{host}/healing_on"), |b| {
             b.iter(|| {
                 let nav = SiteNavigator::new(web.clone(), map.clone());

@@ -23,7 +23,7 @@ fn bench_site_queries(c: &mut Criterion) {
             continue;
         }
         let map = wb.map_for(host).expect("mapped").clone();
-        let web = wb.web.clone();
+        let web = wb.web().clone();
         let mut given = vec![
             ("make".to_string(), Value::str("ford")),
             ("model".to_string(), Value::str("escort")),

@@ -27,7 +27,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         let map = wb.map_for(host).expect("mapped").clone();
         let relation =
             webbase::timing::timing_relations().iter().find(|(h, _)| *h == host).unwrap().1;
-        let web = wb.web.clone();
+        let web = wb.web().clone();
         // One unmeasured run so lazily generated pages in the shared web
         // are hot before the first mode is timed (the modes would
         // otherwise be ordered by how much one-time work they absorbed).

@@ -60,7 +60,7 @@ fn bench_ur(c: &mut Criterion) {
     let q = parse_query(text).expect("parses");
     group.bench_function("plan_jaguar_query", |b| {
         b.iter(|| {
-            black_box(wb.planner.plan(black_box(&q), &wb.layer).expect("plans").objects.len())
+            black_box(wb.planner().plan(black_box(&q), &wb.layer).expect("plans").objects.len())
         });
     });
     group.finish();

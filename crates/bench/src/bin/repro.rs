@@ -83,18 +83,16 @@ fn main() {
             section(&format!("webcheck — pre-flight static analysis, seed {seed}"));
         }
         let car = webbase::Webbase::build_demo(seed, 400, webbase::LatencyModel::lan());
+        let apartments = webbase_bench::apartment_stack(seed);
         let mut report = car.check();
-        let apt_maps = car.maps.len() + {
-            let (_web, maps, layer, planner) = webbase_bench::apartment_stack(seed);
-            report.merge(webbase::check_stack(&maps, &layer, &planner));
-            maps.len()
-        };
+        report.merge(apartments.check());
+        let sites = car.maps().len() + apartments.maps().len();
         if check_json {
             // Machine-readable mode: findings only, one JSON object per
             // line, nothing else on stdout.
             print!("{}", report.render_jsonl());
         } else {
-            println!("{apt_maps} sites analyzed (four passes each, plus cross-layer)\n");
+            println!("{sites} sites analyzed (four passes each, plus cross-layer)\n");
             println!("{}", report.render());
         }
         if report.has_errors() {
@@ -138,17 +136,17 @@ fn main() {
     if want("--fig4") {
         section("Figure 4 — compiled navigation expressions (Newsday)");
         let map = wb.map_for("www.newsday.com").expect("newsday is mapped").clone();
-        let nav = SiteNavigator::new(wb.web.clone(), map);
+        let nav = SiteNavigator::new(wb.web().clone(), map);
         println!("{}", nav.render_program());
     }
     if want("--fig5") {
         section("Figure 5 — UsedCarUR concept hierarchy");
-        println!("{}", wb.planner.hierarchy.render(&wb.ur_attributes()));
+        println!("{}", wb.planner().hierarchy.render(&wb.ur_attributes()));
     }
     if want("--ex62") {
         section("Example 6.2 — compatibility constraints and maximal objects");
-        println!("{}", wb.planner.rules.render());
-        let objects = maximal_objects(&wb.planner.hierarchy, &wb.planner.rules);
+        println!("{}", wb.planner().rules.render());
+        let objects = maximal_objects(&wb.planner().hierarchy, &wb.planner().rules);
         println!("{}", render_maximal(&objects));
     }
     if want("--binding") {
@@ -157,7 +155,7 @@ fn main() {
     }
     if want("--map-stats") {
         section("§7 — map-builder automation statistics");
-        println!("{}", wb.report.render());
+        println!("{}", wb.report().render());
     }
     if want("--timings") {
         section("§7 — timing table: SELECT make,model,year,price WHERE make=ford AND model=escort");
@@ -238,7 +236,7 @@ fn main() {
         if traced {
             wb.layer.vps.set_obs(obs.clone());
         }
-        match wb.planner.execute_with(&query, &mut wb.layer, prior.as_ref()) {
+        match wb.execute(&query, prior.as_ref()) {
             Ok((result, plan)) => {
                 println!("{}", plan.render());
                 println!("{}", result.to_table());

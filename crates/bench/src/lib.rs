@@ -42,20 +42,12 @@ pub fn bench_dataset() -> Arc<Dataset> {
     Dataset::generate(BENCH_SEED, BENCH_ADS)
 }
 
-/// The apartment-domain webbase of `examples/apartment_hunting.rs`,
-/// assembled for analysis: the two rental sites are mapped by replaying
-/// the designer sessions of [`webbase::Corpus::apartments`], then
-/// wrapped in the example's logical relations and AptUR hierarchy.
-/// Together with the 13 car sites this brings the static-analysis gate
-/// (and the soundness suites) to the full 15-site webworld.
-pub fn apartment_stack(
-    seed: u64,
-) -> (
-    webbase_webworld::prelude::SyntheticWeb,
-    Vec<webbase_navigation::map::NavigationMap>,
-    webbase_logical::LogicalLayer,
-    webbase_ur::plan::UrPlanner,
-) {
+/// The apartment-domain webbase of `examples/apartment_hunting.rs`: an
+/// engine over [`webbase::Corpus::apartments`], its two rental sites
+/// mapped by replaying the corpus's designer sessions. Together with
+/// the 13 car sites this brings the static-analysis gate (and the
+/// soundness suites) to the full 15-site webworld.
+pub fn apartment_stack(seed: u64) -> webbase::Engine {
     use webbase_webworld::prelude::SyntheticWeb;
     use webbase_webworld::sites::{AptListings, AptMarket, RentGuide};
 
@@ -65,22 +57,9 @@ pub fn apartment_stack(
         .site(RentGuide::new())
         .latency(LatencyModel::lan())
         .build();
-    let stack = webbase::Corpus::apartments().record_stack(&web).expect("apartment stack records");
-    (web, stack.maps, stack.layer, stack.planner)
-}
-
-/// A generated-corpus stack: build the [`GenCorpus`] web, replay each
-/// generated designer session, and assemble the layers via
-/// [`webbase::Corpus::generated`] — the same corpus-builder API the car
-/// and apartment stacks use.
-pub fn generated_stack(
-    corpus: &webbase_webworld::generate::GenCorpus,
-    latency: LatencyModel,
-) -> (webbase_webworld::prelude::SyntheticWeb, webbase::RecordedStack) {
-    let web = corpus.web(latency);
-    let stack =
-        webbase::Corpus::generated(corpus).record_stack(&web).expect("generated corpus records");
-    (web, stack)
+    let corpus = webbase::Corpus::apartments();
+    webbase::Engine::build_corpus(web, corpus, webbase::EngineConfig::default())
+        .expect("apartment stack records")
 }
 
 /// The host the drift harness mutates (NYTimes classifieds).

@@ -1,31 +1,24 @@
 //! Corpus registration: the one description of "a webbase's sites and
 //! layers" shared by every builder.
 //!
-//! Historically each stack — the 13-site car demo in
-//! [`crate::Webbase::build_on`] / [`crate::Engine::build_on`], the
-//! apartment example in `webbase-bench`, and now the generated corpora —
-//! hand-rolled the same loop: replay designer sessions, feed maps to a
-//! `VpsCatalog`, wrap logical relations, construct a planner. A
-//! [`Corpus`] captures the description once; [`Corpus::record_stack`]
-//! and [`crate::Engine::build_corpus`] are the two consumers (the
-//! single-owner `Webbase` and the shared `Engine` build paths).
+//! A [`Corpus`] describes the 13-site car demo, the apartment example,
+//! or a generated corpus once: the designer sessions to replay and the
+//! logical and UR layers over them. [`crate::Engine::build_corpus`]
+//! records its sites; [`crate::Engine::build_from_fact_maps`] takes
+//! shipped maps in their place. Both assemble the same engine, and
+//! [`crate::Webbase`] is one of those engines plus a session.
 
-use crate::webbase::{BuildReport, WebbaseError};
 use std::sync::Arc;
-use webbase_logical::{paper_schema, LogicalLayer, LogicalRelation};
+use webbase_logical::{paper_schema, LogicalRelation};
 use webbase_navigation::gen_sessions;
-use webbase_navigation::map::NavigationMap;
-use webbase_navigation::recorder::{DesignerAction, MapStats, Recorder};
+use webbase_navigation::recorder::DesignerAction;
 use webbase_navigation::sessions;
 use webbase_relational::prelude::Expr;
 use webbase_relational::Standardizer;
 use webbase_ur::compat::{example62_rules, CompatRules};
 use webbase_ur::hierarchy::{figure5, Alternative, ChoiceGroup, Hierarchy};
-use webbase_ur::plan::UrPlanner;
-use webbase_vps::VpsCatalog;
 use webbase_webworld::data::Dataset;
 use webbase_webworld::generate::GenCorpus;
-use webbase_webworld::prelude::SyntheticWeb;
 
 /// One site's registration: the designer session to replay and the
 /// attribute standardiser the recording uses.
@@ -45,15 +38,6 @@ pub struct Corpus {
     pub relations: Vec<LogicalRelation>,
     pub hierarchy: Hierarchy,
     pub rules: CompatRules,
-}
-
-/// What [`Corpus::record_stack`] produces: recorded maps and the
-/// assembled layers, ready for queries or analysis.
-pub struct RecordedStack {
-    pub maps: Vec<NavigationMap>,
-    pub report: BuildReport,
-    pub layer: LogicalLayer,
-    pub planner: UrPlanner,
 }
 
 impl Corpus {
@@ -119,6 +103,9 @@ impl Corpus {
                 },
             },
         ];
+        // The recorder's default standardiser knows cars, not
+        // apartments; one manual mapping (beds → bedrooms) covers both
+        // sites' forms.
         let standardizer = || {
             let mut s = Standardizer::new(["borough", "bedrooms", "rent", "contact", "fairrent"]);
             s.map("beds", "bedrooms");
@@ -196,67 +183,44 @@ impl Corpus {
             rules: CompatRules::default(),
         }
     }
-
-    /// Replay every site's designer session against `web` and assemble
-    /// the three layers — the single-owner build loop shared by
-    /// [`crate::Webbase::build_on`], the bench demo stacks, and any
-    /// generated corpus.
-    pub fn record_stack(&self, web: &SyntheticWeb) -> Result<RecordedStack, WebbaseError> {
-        let mut catalog = VpsCatalog::new();
-        let mut maps = Vec::new();
-        let mut stats: Vec<(String, MapStats)> = Vec::new();
-        for site in &self.sites {
-            let mut recorder =
-                Recorder::with_standardizer(web.clone(), &site.host, site.standardizer.clone());
-            for action in &site.session {
-                recorder.apply(action).map_err(|e| WebbaseError::Record(site.host.clone(), e))?;
-            }
-            let (map, s) = recorder.finish();
-            stats.push((site.host.clone(), s));
-            maps.push(map.clone());
-            catalog.add_map(web.clone(), map);
-        }
-        let layer = LogicalLayer::new(catalog, self.relations.clone());
-        let planner = UrPlanner::new(self.hierarchy.clone(), self.rules.clone());
-        Ok(RecordedStack { maps, report: BuildReport { sites: stats }, layer, planner })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, EngineConfig, QueryOptions};
     use webbase_webworld::prelude::{standard_web, LatencyModel};
 
     #[test]
     fn paper_corpus_records_thirteen_sites() {
         let data = Dataset::generate(5, 400);
         let web = standard_web(data.clone(), LatencyModel::lan());
-        let stack = Corpus::paper(data).record_stack(&web).expect("records");
-        assert_eq!(stack.maps.len(), 13);
-        assert_eq!(stack.report.sites.len(), 13);
+        let engine = Engine::build_corpus(web, Corpus::paper(data), EngineConfig::default())
+            .expect("records");
+        assert_eq!(engine.maps().len(), 13);
+        assert_eq!(engine.report().sites.len(), 13);
     }
 
     #[test]
     fn generated_corpus_records_and_plans() {
-        use webbase_ur::query::parse_query;
         let gen = GenCorpus::generate(11, 4);
         let web = gen.web(LatencyModel::zero());
-        let corpus = Corpus::generated(&gen);
-        let mut stack = corpus.record_stack(&web).expect("records");
-        assert_eq!(stack.maps.len(), 4);
+        let engine = Engine::build_corpus(web, Corpus::generated(&gen), EngineConfig::default())
+            .expect("records");
+        assert_eq!(engine.maps().len(), 4);
         for spec in &gen.specs {
-            let q = parse_query(&spec.exemplar_query()).expect("query parses");
-            let plan = stack.planner.plan(&q, &stack.layer).expect("plans");
+            let text = spec.exemplar_query();
+            let plan = engine.explain(&text).expect("plans");
             assert_eq!(
                 plan.objects.len(),
                 1,
                 "{}: disjoint attrs must cover via exactly one site",
                 spec.host
             );
-            let (result, _) = stack.planner.execute(&q, &mut stack.layer).expect("executes");
+            let out = engine.query_isolated("t", &text, QueryOptions::default()).expect("runs");
             let sub = spec.needs_sub().then(|| spec.exemplar_sub().to_string());
             let oracle = spec.oracle(spec.exemplar_cat(), sub.as_deref());
-            assert_eq!(result.len(), oracle.len(), "{}: result size != oracle", spec.host);
+            assert_eq!(out.relation.len(), oracle.len(), "{}: result size != oracle", spec.host);
         }
     }
 }

@@ -1,13 +1,12 @@
 //! The multi-query engine: one shared, thread-safe webbase serving
 //! many concurrent UR queries.
 //!
-//! [`crate::Webbase`] is the single-owner stack: one catalog, one
-//! logical layer, `&mut self` per query. The [`Engine`] turns the same
-//! three layers into a server runtime. It is built **once** — sessions
-//! replayed, maps recorded, every map compiled to Transaction F-logic
-//! and vetted by webcheck exactly once — and then shared (`Engine` is
-//! `Clone + Send + Sync`, an `Arc` inside) by any number of query
-//! threads.
+//! The [`Engine`] is the one place a webbase is assembled: designer
+//! sessions replayed (or shipped fact maps loaded), every map compiled
+//! to Transaction F-logic and vetted by webcheck exactly once. It is
+//! then shared (`Engine` is `Clone + Send + Sync`, an `Arc` inside) by
+//! any number of query threads. [`crate::Webbase`] is an engine plus
+//! one long-lived session of its own, queried through `&mut self`.
 //!
 //! What is shared engine-wide and what stays per query is the whole
 //! design:
@@ -43,7 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webbase_logical::{LogicalDefs, LogicalLayer, Obs, QueryObservation};
 use webbase_navigation::drift::events_from_repairs;
-use webbase_navigation::map::NodeId;
+use webbase_navigation::map::{NavigationMap, NodeId};
 use webbase_navigation::recorder::{MapStats, Recorder};
 use webbase_navigation::store::ReadSet;
 use webbase_navigation::{
@@ -61,6 +60,7 @@ use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
 use webbase_webworld::request::Request;
 
+use crate::corpus::Corpus;
 use crate::webbase::{BuildReport, WebbaseError};
 
 /// How the engine is shared and scheduled. [`EngineConfig::default`]
@@ -601,7 +601,7 @@ impl Engine {
         data: Arc<Dataset>,
         config: EngineConfig,
     ) -> Result<Engine, WebbaseError> {
-        Engine::build_corpus(web, crate::corpus::Corpus::paper(data), config)
+        Engine::build_corpus(web, Corpus::paper(data), config)
     }
 
     /// Build over any [`crate::Corpus`] — the paper's car demo, the
@@ -611,19 +611,80 @@ impl Engine {
     /// once, then assembles the shared engine.
     pub fn build_corpus(
         web: SyntheticWeb,
-        corpus: crate::corpus::Corpus,
+        corpus: Corpus,
         config: EngineConfig,
     ) -> Result<Engine, WebbaseError> {
-        let mut shape = CatalogShape::new(config.policy);
-        let mut stats: Vec<(String, MapStats)> = Vec::new();
+        let mut maps = Vec::with_capacity(corpus.sites.len());
         for site in &corpus.sites {
             let mut recorder =
                 Recorder::with_standardizer(web.clone(), &site.host, site.standardizer.clone());
             for action in &site.session {
                 recorder.apply(action).map_err(|e| WebbaseError::Record(site.host.clone(), e))?;
             }
-            let (map, s) = recorder.finish();
-            stats.push((site.host.clone(), s));
+            maps.push(recorder.finish());
+        }
+        Engine::assemble(web, corpus, maps, config)
+    }
+
+    /// Build from shipped maps — F-logic fact text, as produced by
+    /// `webbase_navigation::persist::render_facts` — instead of
+    /// replaying the corpus's designer sessions; the logical and UR
+    /// layers still come from `corpus`. Shipped maps are untrusted
+    /// input: text that does not parse, or that repeats a host or VPS
+    /// relation an earlier map loaded, is a [`WebbaseError::Load`], and
+    /// any E-level pre-flight finding rejects the whole set
+    /// ([`WebbaseError::Check`]) before handle derivation and
+    /// compilation ever see a map.
+    pub fn build_from_fact_maps(
+        web: SyntheticWeb,
+        corpus: Corpus,
+        fact_maps: &[String],
+        config: EngineConfig,
+    ) -> Result<Engine, WebbaseError> {
+        let mut maps = Vec::with_capacity(fact_maps.len());
+        let mut preflight = webbase_webcheck::Report::new();
+        let mut hosts = HashSet::new();
+        let mut relations = HashSet::new();
+        for text in fact_maps {
+            let map = webbase_navigation::persist::parse_map(text)
+                .map_err(|e| WebbaseError::Load(e.to_string()))?;
+            if !hosts.insert(map.site.clone()) {
+                return Err(WebbaseError::Load(format!("{}: host already loaded", map.site)));
+            }
+            if let Some(r) = map.relations.iter().find(|r| relations.contains(&r.relation)) {
+                return Err(WebbaseError::Load(format!(
+                    "{}: VPS relation {} already loaded",
+                    map.site, r.relation
+                )));
+            }
+            relations.extend(map.relations.iter().map(|r| r.relation.clone()));
+            preflight.merge(webbase_webcheck::check_site(&map));
+            let stats = MapStats {
+                objects: map.object_count(),
+                attributes: map.attribute_count(),
+                // Unknown after the fact; recorded at mapping time.
+                ..MapStats::default()
+            };
+            maps.push((map, stats));
+        }
+        if preflight.has_errors() {
+            return Err(WebbaseError::Check(preflight));
+        }
+        Engine::assemble(web, corpus, maps, config)
+    }
+
+    /// The one assembly step behind every build: load each map into the
+    /// shared shape, then wire the layers `corpus` describes over it.
+    fn assemble(
+        web: SyntheticWeb,
+        corpus: Corpus,
+        maps: Vec<(NavigationMap, MapStats)>,
+        config: EngineConfig,
+    ) -> Result<Engine, WebbaseError> {
+        let mut shape = CatalogShape::new(config.policy);
+        let mut stats = Vec::with_capacity(maps.len());
+        for (map, s) in maps {
+            stats.push((map.site.clone(), s));
             // Analysed (lint + program safety + the abstract
             // interpreter), compiled and handle-derived once per map per
             // build; every query's catalog shares the result.
@@ -751,20 +812,20 @@ impl Engine {
         Ok(engine)
     }
 
-    /// The one per-query session constructor: a logical layer over the
-    /// shared shape and definitions whose catalog builds a site's
-    /// navigator only when the query first invokes that site, so a
-    /// session used only for planning builds none.
+    /// The one session constructor: a logical layer over the shared
+    /// shape and definitions whose catalog builds a site's navigator
+    /// only when the session first invokes that site, so a session used
+    /// only for planning builds none.
     ///
     /// A shared session reads through the engine's page store, pools
     /// and answer memo, and records every page it reads in the returned
     /// [`ReadSet`] — the provenance the freshness ledger stores with
     /// published results. An isolated session shares *nothing*
     /// mutable: a private page store, no memo, no pools, and its read
-    /// set stays empty — the single-owner cost model that the load
-    /// generator's serial baseline and the concurrency tests'
-    /// byte-identity oracle run on.
-    fn session(&self, isolated: bool) -> (LogicalLayer, ReadSet) {
+    /// set stays empty — the single-owner cost model that
+    /// [`crate::Webbase`], the load generator's serial baseline and the
+    /// concurrency tests' byte-identity oracle run on.
+    pub fn session(&self, isolated: bool) -> (LogicalLayer, ReadSet) {
         let inner = &self.inner;
         let reads = ReadSet::new();
         let vps = if isolated {
@@ -1645,6 +1706,85 @@ impl Engine {
         self.inner.shape.preflight()
     }
 
+    /// Every loaded map, in registration order.
+    pub fn maps(&self) -> impl ExactSizeIterator<Item = &NavigationMap> {
+        self.inner.shape.maps()
+    }
+
+    /// The UR planner: the concept hierarchy and compatibility rules.
+    pub fn planner(&self) -> &UrPlanner {
+        &self.inner.planner
+    }
+
+    /// The full static analysis of the assembled webbase: the per-map
+    /// findings the build stored (map lint, program safety, semantics),
+    /// then the logical schema, VPS catalog, and UR planner checked
+    /// against each other (webcheck pass 3). Pure — no navigation, no
+    /// fetches; safe to run on every load.
+    pub fn check(&self) -> webbase_webcheck::Report {
+        use webbase_relational::eval::RelationProvider;
+        use webbase_ur::compat::CompatRule;
+        use webbase_webcheck::{
+            CompatRuleSpec, CrossLayerInput, HandleSpec, LogicalSpec, VpsRelSpec,
+        };
+        let shape = &self.inner.shape;
+        let mut report = shape.preflight().clone();
+        let (layer, _) = self.session(true);
+        let attrs_of = |schema: Option<webbase_relational::Schema>| -> Vec<String> {
+            schema
+                .map(|s| s.attrs().iter().map(|a| a.as_str().to_string()).collect())
+                .unwrap_or_default()
+        };
+        let vps_specs: Vec<VpsRelSpec> = shape
+            .relations()
+            .map(|name| VpsRelSpec {
+                name: name.to_string(),
+                site: shape.relation_host(name).unwrap_or_default().to_string(),
+                attrs: attrs_of(layer.vps.schema(name)),
+                handles: shape
+                    .handles(name)
+                    .iter()
+                    .map(|h| HandleSpec {
+                        mandatory: h.mandatory.iter().cloned().collect(),
+                        selection: h.selection.iter().cloned().collect(),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let logical: Vec<LogicalSpec> = layer
+            .relations()
+            .iter()
+            .map(|r| LogicalSpec {
+                name: r.name.clone(),
+                attrs: attrs_of(layer.schema(&r.name)),
+                bases: r.def.base_relations().iter().map(ToString::to_string).collect(),
+            })
+            .collect();
+        let planner = &self.inner.planner;
+        let concepts = planner.hierarchy.alternatives().map(|a| a.name.clone()).collect();
+        let compat = planner
+            .rules
+            .rules
+            .iter()
+            .map(|r| match r {
+                CompatRule::Requires { premise, then } => {
+                    CompatRuleSpec::Requires { premise: premise.clone(), then: then.clone() }
+                }
+                CompatRule::Excludes { premise, then_not } => CompatRuleSpec::Excludes {
+                    premise: premise.clone(),
+                    then_not: then_not.clone(),
+                },
+            })
+            .collect();
+        report.merge(webbase_webcheck::check_cross_layer(&CrossLayerInput {
+            logical,
+            vps: vps_specs,
+            concepts,
+            compat,
+        }));
+        report
+    }
+
     /// The UR's attribute list.
     pub fn ur_attributes(&self) -> Vec<String> {
         self.inner.index.attributes().to_vec()
@@ -2448,12 +2588,14 @@ mod tests {
     }
 
     /// The engine's indexed planning (build-once index over the shape)
-    /// against `UrPlanner::plan` on a freshly recorded single-owner
-    /// stack, for every text.
-    fn assert_plans_agree(engine: &Engine, stack: &crate::corpus::RecordedStack, texts: &[String]) {
+    /// against `UrPlanner::plan`, which builds its index per call, on a
+    /// single-owner session, for every text.
+    fn assert_plans_agree(engine: &Engine, texts: &[String]) {
+        let (layer, _) = engine.session(true);
+        let planner = engine.planner();
         for text in texts {
             let q = parse_query(text).expect("parses");
-            let expected = stack.planner.plan(&q, &stack.layer);
+            let expected = planner.plan(&q, &layer);
             let expected = expected.map(|p| p.render()).map_err(|e| format!("{e:?}"));
             let got = match engine.explain(text) {
                 Ok(plan) => Ok(plan.render()),
@@ -2462,14 +2604,12 @@ mod tests {
             };
             assert_eq!(got, expected, "{text}");
         }
-        assert_eq!(engine.ur_attributes(), stack.planner.ur_attributes(&stack.layer));
+        assert_eq!(engine.ur_attributes(), planner.ur_attributes(&layer));
     }
 
     #[test]
     fn indexed_planning_matches_the_single_owner_planner_on_the_paper_corpus() {
         let engine = Engine::build_demo(5, 400, LatencyModel::lan());
-        let data = engine.data().expect("the demo has data").clone();
-        let stack = crate::Corpus::paper(data).record_stack(engine.web()).expect("records");
         let texts = [
             JAGUAR,
             "UsedCarUR(make='jaguar', model, year >= 1994, price, bbprice, rate, zip='10001', \
@@ -2482,19 +2622,18 @@ mod tests {
             "UsedCarUR(warp_drive)",
             "UsedCarUR(make='ford', bbprice)",
         ];
-        assert_plans_agree(&engine, &stack, &texts.map(String::from));
+        assert_plans_agree(&engine, &texts.map(String::from));
     }
 
     #[test]
     fn indexed_planning_matches_the_single_owner_planner_on_a_generated_corpus() {
         let (engine, gen) = generated_engine(50);
-        let stack = crate::Corpus::generated(&gen).record_stack(engine.web()).expect("records");
         let mut texts: Vec<String> =
             gen.specs.iter().map(webbase_webworld::generate::SiteSpec::exemplar_query).collect();
         // Two sites' attributes together: no compatible set covers them.
         let (a, b) = (&gen.specs[0], &gen.specs[1]);
         texts.push(format!("GenUR({}, {})", a.attr("item"), b.attr("item")));
-        assert_plans_agree(&engine, &stack, &texts);
+        assert_plans_agree(&engine, &texts);
         let not_coverable = engine.explain(texts.last().expect("pushed"));
         assert!(matches!(not_coverable, Err(EngineError::Plan(UrError::NotCoverable(_)))));
     }

@@ -13,8 +13,10 @@
 //! | logical schema | `webbase-logical` + `webbase-relational` | **site independence** — algebra over VPS relations with §5 binding propagation and binding-aware join ordering |
 //! | external schema | `webbase-ur` | **ad hoc querying** — the structured universal relation: concept hierarchy, compatibility rules, maximal objects |
 //!
-//! [`Webbase`] assembles all of it; [`Webbase::build_demo`] constructs
-//! the paper's used-car webbase (Example 2.1) over the simulated Web:
+//! [`Engine`] assembles all of it and serves concurrent queries;
+//! [`Webbase`] is an engine plus one long-lived session of its own.
+//! [`Webbase::build_demo`] constructs the paper's used-car webbase
+//! (Example 2.1) over the simulated Web:
 //!
 //! ```no_run
 //! use webbase::Webbase;
@@ -36,15 +38,15 @@ pub mod server;
 pub mod timing;
 pub mod webbase;
 
-pub use crate::corpus::{Corpus, CorpusSite, RecordedStack};
+pub use crate::corpus::{Corpus, CorpusSite};
 pub use crate::engine::{
     AdmissionConfig, Engine, EngineConfig, EngineError, EngineStats, FreshnessReport, Lifecycle,
     PlanSemantics, QueryFailure, QueryOptions, QueryOutcome, RefreshReport,
 };
 pub use crate::server::{serve_channel, serve_connection, ServerConfig, SessionEnd, MAX_LINE};
-pub use crate::webbase::{check_stack, BuildReport, Webbase, WebbaseError};
+pub use crate::webbase::{BuildReport, Webbase, WebbaseError};
 pub use timing::{
-    merged_degradation, merged_metrics, merged_repairs, parallel_timing, serial_timing, SiteTiming,
+    merged_degradation, merged_repairs, parallel_timing, serial_timing, SiteTiming,
     TimingComparison,
 };
 pub use webbase_logical::{

@@ -136,7 +136,7 @@ fn run_one_with(
 }
 
 /// Fold one per-row report into its merged whole — the shape shared by
-/// degradation, repair, and metrics merging (rows come from independent
+/// degradation and repair merging (rows come from independent
 /// per-site navigators, so the merge is the whole story, serial or
 /// parallel).
 fn merged<T: Default>(
@@ -162,12 +162,6 @@ pub fn merged_repairs(rows: &[SiteTiming]) -> RepairReport {
     merged(rows, |r| &r.repairs, RepairReport::merge)
 }
 
-/// Merge the per-row metrics snapshots of a timing run (same shape as
-/// [`merged_degradation`]).
-pub fn merged_metrics(rows: &[SiteTiming]) -> MetricsSnapshot {
-    merged(rows, |r| &r.metrics, MetricsSnapshot::merge)
-}
-
 /// The §7 table: the query against each site in turn. Also returns the
 /// serial wall-clock (sum of elapsed).
 pub fn serial_timing(wb: &Webbase, make: &str, model: &str) -> Vec<SiteTiming> {
@@ -175,7 +169,7 @@ pub fn serial_timing(wb: &Webbase, make: &str, model: &str) -> Vec<SiteTiming> {
         .into_iter()
         .map(|(host, relation)| {
             let map = wb.map_for(host).expect("demo webbase maps every timing site");
-            run_one(&wb.web, map, relation, make, model)
+            run_one(wb.web(), map, relation, make, model)
         })
         .collect()
 }
@@ -197,7 +191,7 @@ pub fn serial_timing_budgeted(
         .into_iter()
         .map(|(host, relation)| {
             let map = wb.map_for(host).expect("demo webbase maps every timing site");
-            let row = run_one_with(&wb.web, map, relation, make, model, Some(tracker.clone()));
+            let row = run_one_with(wb.web(), map, relation, make, model, Some(tracker.clone()));
             tracker.mark_served(host);
             row
         })
@@ -225,7 +219,7 @@ pub fn parallel_timing_budgeted(
         let mut handles = Vec::new();
         for (i, (host, relation)) in pairs.iter().enumerate() {
             let map = wb.map_for(host).expect("mapped").clone();
-            let web = wb.web.clone();
+            let web = wb.web().clone();
             let tracker = tracker.clone();
             handles.push((
                 i,
@@ -255,7 +249,7 @@ pub fn parallel_timing(wb: &Webbase, make: &str, model: &str) -> Vec<SiteTiming>
         let mut handles = Vec::new();
         for (i, (host, relation)) in pairs.iter().enumerate() {
             let map = wb.map_for(host).expect("mapped").clone();
-            let web = wb.web.clone();
+            let web = wb.web().clone();
             handles.push((i, scope.spawn(move |_| run_one(&web, &map, relation, make, model))));
         }
         for (i, h) in handles {

@@ -1,15 +1,14 @@
 //! The assembled webbase.
 
+use crate::corpus::Corpus;
+use crate::engine::{Engine, EngineConfig};
 use std::sync::Arc;
-use webbase_logical::{paper_schema, LogicalLayer, Obs, QueryObservation};
+use webbase_logical::{LogicalLayer, Obs, QueryObservation};
 use webbase_navigation::map::NavigationMap;
 use webbase_navigation::recorder::{MapStats, RecordError};
 use webbase_relational::Relation;
-use webbase_ur::compat::example62_rules;
-use webbase_ur::hierarchy::figure5;
 use webbase_ur::plan::{UrError, UrPlan, UrPlanner};
-use webbase_ur::query::parse_query;
-use webbase_vps::VpsCatalog;
+use webbase_ur::query::{parse_query, UrQuery};
 use webbase_webworld::prelude::*;
 
 /// What building a webbase produced: per-site maps and their §7
@@ -43,6 +42,9 @@ impl BuildReport {
 #[derive(Debug)]
 pub enum WebbaseError {
     Record(String, RecordError),
+    /// A shipped fact map failed to parse, or repeats a host or VPS
+    /// relation an earlier map already loaded.
+    Load(String),
     Query(webbase_ur::query::QueryParseError),
     Plan(UrError),
     /// A §7-style SELECT failed to parse or evaluate.
@@ -60,6 +62,7 @@ impl std::fmt::Display for WebbaseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WebbaseError::Record(site, e) => write!(f, "recording {site}: {e}"),
+            WebbaseError::Load(m) => write!(f, "loading map: {m}"),
             WebbaseError::Query(e) => write!(f, "{e}"),
             WebbaseError::Plan(e) => write!(f, "{e}"),
             WebbaseError::Select(m) => write!(f, "{m}"),
@@ -73,15 +76,15 @@ impl std::fmt::Display for WebbaseError {
 
 impl std::error::Error for WebbaseError {}
 
-/// The assembled three-layer webbase over a simulated Web.
+/// The assembled three-layer webbase over a simulated Web: an
+/// [`Engine`] over the paper's used-car corpus plus one long-lived
+/// single-owner session. The session's navigators, browser caches,
+/// healing state and statistics persist across queries.
 pub struct Webbase {
-    pub web: SyntheticWeb,
-    pub data: Arc<Dataset>,
-    /// The recorded navigation maps, by host.
-    pub maps: Vec<NavigationMap>,
+    engine: Engine,
+    /// The webbase's own session (an isolated [`Engine::session`]:
+    /// private page store, no shared memo).
     pub layer: LogicalLayer,
-    pub planner: UrPlanner,
-    pub report: BuildReport,
 }
 
 impl Webbase {
@@ -97,80 +100,79 @@ impl Webbase {
     /// Build over an existing Web (e.g. a versioned one for maintenance
     /// experiments).
     pub fn build_on(web: SyntheticWeb, data: Arc<Dataset>) -> Result<Webbase, WebbaseError> {
-        let stack = crate::corpus::Corpus::paper(data.clone()).record_stack(&web)?;
-        Ok(Webbase {
-            web,
-            data,
-            maps: stack.maps,
-            layer: stack.layer,
-            planner: stack.planner,
-            report: stack.report,
-        })
+        Engine::build_on(web, data, EngineConfig::default()).map(Webbase::over)
     }
 
     /// Build from previously persisted navigation maps (F-logic fact
     /// text, as produced by `webbase_navigation::persist::render_facts`)
     /// instead of replaying designer sessions — the "designer ships the
-    /// maps" deployment mode.
+    /// maps" deployment mode (see [`Engine::build_from_fact_maps`]).
     pub fn build_from_fact_maps(
         web: SyntheticWeb,
         data: Arc<Dataset>,
         fact_maps: &[String],
     ) -> Result<Webbase, WebbaseError> {
-        let mut catalog = VpsCatalog::new();
-        let mut maps = Vec::new();
-        let mut stats = Vec::new();
-        let mut preflight = webbase_webcheck::Report::new();
-        for text in fact_maps {
-            let map = webbase_navigation::persist::parse_map(text)
-                .map_err(|e| WebbaseError::Select(format!("loading map: {e}")))?;
-            preflight.merge(webbase_webcheck::check_site(&map));
-            stats.push((
-                map.site.clone(),
-                MapStats {
-                    objects: map.object_count(),
-                    attributes: map.attribute_count(),
-                    // Unknown after the fact; recorded at mapping time.
-                    ..MapStats::default()
-                },
-            ));
-            maps.push(map);
-        }
-        // Shipped maps are untrusted input: the deployment path rejects
-        // anything the pre-flight analysis flags at E level *before*
-        // handle derivation and navigator construction ever see the map
-        // (a recorded session, by contrast, is checked but always loaded
-        // — see `VpsCatalog::add_map`).
-        if preflight.has_errors() {
-            return Err(WebbaseError::Check(preflight));
-        }
-        for map in &maps {
-            catalog.add_map(web.clone(), map.clone());
-        }
-        let layer = LogicalLayer::new(catalog, paper_schema());
-        let planner = UrPlanner::new(figure5(), example62_rules());
-        Ok(Webbase { web, data, maps, layer, planner, report: BuildReport { sites: stats } })
+        let corpus = Corpus::paper(data);
+        Engine::build_from_fact_maps(web, corpus, fact_maps, EngineConfig::default())
+            .map(Webbase::over)
     }
 
-    /// Serialise every recorded map as F-logic fact text (the input to
+    fn over(engine: Engine) -> Webbase {
+        let (layer, _) = engine.session(true);
+        Webbase { engine, layer }
+    }
+
+    pub fn web(&self) -> &SyntheticWeb {
+        self.engine.web()
+    }
+
+    pub fn data(&self) -> &Arc<Dataset> {
+        self.engine.data().expect("the paper corpus carries its dataset")
+    }
+
+    /// The loaded navigation maps, in registration order.
+    pub fn maps(&self) -> impl ExactSizeIterator<Item = &NavigationMap> {
+        self.engine.maps()
+    }
+
+    pub fn planner(&self) -> &UrPlanner {
+        self.engine.planner()
+    }
+
+    /// The §7 map-builder statistics from the build.
+    pub fn report(&self) -> &BuildReport {
+        self.engine.report()
+    }
+
+    /// Serialise every loaded map as F-logic fact text (the input to
     /// [`Webbase::build_from_fact_maps`]).
     pub fn export_fact_maps(&self) -> Vec<String> {
-        self.maps.iter().map(webbase_navigation::persist::render_facts).collect()
+        self.maps().map(webbase_navigation::persist::render_facts).collect()
     }
 
-    /// Run the full three-pass static analysis over the assembled
-    /// webbase: every map is linted and its compiled program checked
-    /// (webcheck passes 1–2), then the logical schema, VPS catalog, and
-    /// UR planner are checked against each other (pass 3). Pure — no
-    /// navigation, no fetches; safe to run on every load.
+    /// The full static analysis of the webbase (see [`Engine::check`]).
     pub fn check(&self) -> webbase_webcheck::Report {
-        check_stack(&self.maps, &self.layer, &self.planner)
+        self.engine.check()
+    }
+
+    /// Execute a parsed structured-UR query on the webbase's session,
+    /// under the query's own budget if it carries one. With `resume`,
+    /// the token's journal is preloaded into the page caches (those
+    /// pages are never re-fetched) and, unless the query brings a fresh
+    /// budget, the token's budget covers the unfinished tail.
+    pub fn execute(
+        &mut self,
+        query: &UrQuery,
+        resume: Option<&webbase_logical::ResumeToken>,
+    ) -> Result<(Relation, UrPlan), WebbaseError> {
+        let planner = self.engine.planner();
+        planner.execute_with(query, &mut self.layer, resume).map_err(WebbaseError::Plan)
     }
 
     /// Parse and execute a structured-UR query.
     pub fn query(&mut self, text: &str) -> Result<(Relation, UrPlan), WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
-        self.planner.execute(&q, &mut self.layer).map_err(WebbaseError::Plan)
+        self.execute(&q, None)
     }
 
     /// Parse and execute a structured-UR query with full observability:
@@ -187,13 +189,13 @@ impl Webbase {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
         let obs = Obs::full();
         self.layer.vps.set_obs(obs.clone());
-        let out = self.planner.execute(&q, &mut self.layer);
+        let out = self.execute(&q, None);
         let observation = QueryObservation {
             trace: obs.sink.finish(),
             metrics: obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default(),
         };
         self.layer.vps.set_obs(Obs::none());
-        let (rel, plan) = out.map_err(WebbaseError::Plan)?;
+        let (rel, plan) = out?;
         Ok((rel, plan, observation))
     }
 
@@ -207,7 +209,7 @@ impl Webbase {
         budget: webbase_logical::QueryBudget,
     ) -> Result<(Relation, UrPlan), WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?.with_budget(budget);
-        self.planner.execute(&q, &mut self.layer).map_err(WebbaseError::Plan)
+        self.execute(&q, None)
     }
 
     /// Re-run a query from an earlier run's resume token: the token's
@@ -221,23 +223,23 @@ impl Webbase {
         token: &webbase_logical::ResumeToken,
     ) -> Result<(Relation, UrPlan), WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
-        self.planner.execute_with(&q, &mut self.layer, Some(token)).map_err(WebbaseError::Plan)
+        self.execute(&q, Some(token))
     }
 
     /// Plan a query without executing it (for EXPLAIN-style output).
     pub fn explain(&self, text: &str) -> Result<UrPlan, WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
-        self.planner.plan(&q, &self.layer).map_err(WebbaseError::Plan)
+        self.engine.planner().plan(&q, &self.layer).map_err(WebbaseError::Plan)
     }
 
-    /// The map recorded for `host`, if any.
+    /// The map loaded for `host`, if any.
     pub fn map_for(&self, host: &str) -> Option<&NavigationMap> {
-        self.maps.iter().find(|m| m.site == host)
+        self.maps().find(|m| m.site == host)
     }
 
     /// The UR's attribute list (the user's attribute picker).
     pub fn ur_attributes(&self) -> Vec<String> {
-        self.planner.ur_attributes(&self.layer)
+        self.engine.ur_attributes()
     }
 
     /// Run a §7-style `SELECT … WHERE …` query against one relation —
@@ -260,76 +262,6 @@ impl Webbase {
     }
 }
 
-/// The three-pass analysis over an arbitrary layered stack — any
-/// domain's maps, logical layer, and planner, not only the built-in
-/// used-car webbase ([`Webbase::check`] delegates here). The VPS
-/// relations and their sites are read out of `layer.vps`'s shape, so no
-/// navigator is built.
-pub fn check_stack(
-    maps: &[NavigationMap],
-    layer: &LogicalLayer,
-    planner: &UrPlanner,
-) -> webbase_webcheck::Report {
-    use webbase_relational::eval::RelationProvider;
-    use webbase_webcheck::{CompatRuleSpec, CrossLayerInput, HandleSpec, LogicalSpec, VpsRelSpec};
-    let mut report = webbase_webcheck::Report::new();
-    for map in maps {
-        report.merge(webbase_webcheck::check_site(map));
-    }
-    let shape = layer.vps.shape();
-    let attrs_of = |schema: Option<webbase_relational::Schema>| -> Vec<String> {
-        schema
-            .map(|s| s.attrs().iter().map(|a| a.as_str().to_string()).collect())
-            .unwrap_or_default()
-    };
-    let vps_specs: Vec<VpsRelSpec> = shape
-        .relations()
-        .map(|name| VpsRelSpec {
-            name: name.to_string(),
-            site: shape.relation_host(name).unwrap_or_default().to_string(),
-            attrs: attrs_of(layer.vps.schema(name)),
-            handles: shape
-                .handles(name)
-                .iter()
-                .map(|h| HandleSpec {
-                    mandatory: h.mandatory.iter().cloned().collect(),
-                    selection: h.selection.iter().cloned().collect(),
-                })
-                .collect(),
-        })
-        .collect();
-    let logical: Vec<LogicalSpec> = layer
-        .relations()
-        .iter()
-        .map(|r| LogicalSpec {
-            name: r.name.clone(),
-            attrs: attrs_of(layer.schema(&r.name)),
-            bases: r.def.base_relations().iter().map(ToString::to_string).collect(),
-        })
-        .collect();
-    let concepts = planner.hierarchy.alternatives().map(|a| a.name.clone()).collect();
-    let compat = planner
-        .rules
-        .rules
-        .iter()
-        .map(|r| match r {
-            webbase_ur::compat::CompatRule::Requires { premise, then } => {
-                CompatRuleSpec::Requires { premise: premise.clone(), then: then.clone() }
-            }
-            webbase_ur::compat::CompatRule::Excludes { premise, then_not } => {
-                CompatRuleSpec::Excludes { premise: premise.clone(), then_not: then_not.clone() }
-            }
-        })
-        .collect();
-    report.merge(webbase_webcheck::check_cross_layer(&CrossLayerInput {
-        logical,
-        vps: vps_specs,
-        concepts,
-        compat,
-    }));
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,9 +273,9 @@ mod tests {
     #[test]
     fn builds_with_all_sites_mapped() {
         let wb = demo();
-        assert_eq!(wb.maps.len(), 13);
-        assert_eq!(wb.report.sites.len(), 13);
-        let txt = wb.report.render();
+        assert_eq!(wb.maps().len(), 13);
+        assert_eq!(wb.report().sites.len(), 13);
+        let txt = wb.report().render();
         assert!(txt.contains("www.newsday.com"));
         // UR attribute picker covers the domain vocabulary.
         let attrs = wb.ur_attributes();
@@ -373,13 +305,13 @@ mod tests {
     #[test]
     fn explain_produces_plan_without_fetches() {
         let wb = demo();
-        let before = wb.web.total_stats().requests;
+        let before = wb.web().total_stats().requests;
         let plan = wb
             .explain("UsedCarUR(make='ford', price, rate, zip='10001', duration=36)")
             .expect("plans");
         assert!(!plan.objects.is_empty());
         // Planning itself must not navigate (only recording did).
-        assert_eq!(wb.web.total_stats().requests, before);
+        assert_eq!(wb.web().total_stats().requests, before);
     }
 
     #[test]
@@ -397,9 +329,9 @@ mod tests {
         use webbase_logical::QueryBudget;
         let q = "UsedCarUR(make='ford', price)";
         let mut unbounded = demo();
-        let before = unbounded.web.total_stats().requests;
+        let before = unbounded.web().total_stats().requests;
         let (full, _) = unbounded.query(q).expect("runs");
-        let full_requests = unbounded.web.total_stats().requests - before;
+        let full_requests = unbounded.web().total_stats().requests - before;
         assert!(!full.is_empty());
 
         let mut wb = demo();
@@ -416,9 +348,9 @@ mod tests {
             assert!(rounds < 100, "resume loop failed to converge");
             // Fresh webbase per round: only the token carries state over.
             let mut next = demo();
-            let before = next.web.total_stats().requests;
+            let before = next.web().total_stats().requests;
             let (r, p) = next.resume(q, &t).expect("resumes");
-            let spent = (next.web.total_stats().requests - before) as usize;
+            let spent = (next.web().total_stats().requests - before) as usize;
             assert!(
                 spent + journal_len <= full_requests as usize,
                 "a resumed run re-fetched journalled pages ({spent} new + {journal_len} journalled > {full_requests} total)"
@@ -443,12 +375,8 @@ mod tests {
         let mut exported = original.export_fact_maps();
         // Corrupt one shipped map: sever every edge into its data nodes,
         // leaving registered relations unreachable (E101).
-        let idx = original
-            .maps
-            .iter()
-            .position(|m| m.site == "www.newsday.com")
-            .expect("newsday is mapped");
-        let mut broken = original.maps[idx].clone();
+        let idx = original.maps().position(|m| m.site == "www.newsday.com").expect("mapped");
+        let mut broken = original.map_for("www.newsday.com").expect("mapped").clone();
         let data_nodes: Vec<usize> = broken
             .nodes
             .iter()
@@ -458,9 +386,11 @@ mod tests {
             .collect();
         broken.edges.retain(|e| !data_nodes.contains(&e.to));
         exported[idx] = webbase_navigation::persist::render_facts(&broken);
-        let Err(err) =
-            Webbase::build_from_fact_maps(original.web.clone(), original.data.clone(), &exported)
-        else {
+        let Err(err) = Webbase::build_from_fact_maps(
+            original.web().clone(),
+            original.data().clone(),
+            &exported,
+        ) else {
             panic!("an E-level map must be rejected at load time");
         };
         match err {
@@ -473,13 +403,35 @@ mod tests {
     }
 
     #[test]
+    fn hostile_fact_maps_are_load_errors() {
+        let original = demo();
+        let load = |maps: &[String]| {
+            Webbase::build_from_fact_maps(original.web().clone(), original.data().clone(), maps)
+        };
+        let mut exported = original.export_fact_maps();
+        exported[0].push_str("\nnode(");
+        assert!(matches!(load(&exported), Err(WebbaseError::Load(_))), "unparseable text");
+        let mut exported = original.export_fact_maps();
+        exported.push(exported[0].clone());
+        assert!(matches!(load(&exported), Err(WebbaseError::Load(_))), "the same map twice");
+        // Another host registering a relation an earlier map loaded.
+        let mut exported = original.export_fact_maps();
+        let renamed = exported[0].replace(&original.report().sites[0].0, "www.copycat.com");
+        exported.push(renamed);
+        assert!(matches!(load(&exported), Err(WebbaseError::Load(_))), "a duplicate relation");
+    }
+
+    #[test]
     fn rebuild_from_exported_fact_maps() {
         let mut original = demo();
         let exported = original.export_fact_maps();
         assert_eq!(exported.len(), 13);
-        let mut reloaded =
-            Webbase::build_from_fact_maps(original.web.clone(), original.data.clone(), &exported)
-                .expect("maps reload");
+        let mut reloaded = Webbase::build_from_fact_maps(
+            original.web().clone(),
+            original.data().clone(),
+            &exported,
+        )
+        .expect("maps reload");
         let q = "UsedCarUR(make='honda', model='civic', year, price)";
         let (a, _) = original.query(q).expect("original answers");
         let (b, _) = reloaded.query(q).expect("reloaded answers");

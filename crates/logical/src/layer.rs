@@ -138,17 +138,20 @@ mod tests {
     use std::sync::Arc;
     use webbase_navigation::recorder::Recorder;
     use webbase_navigation::sessions;
+    use webbase_navigation::PageStore;
     use webbase_relational::prelude::*;
+    use webbase_vps::{CatalogShape, FetchPolicy};
     use webbase_webworld::prelude::*;
 
     fn layer() -> (LogicalLayer, Arc<Dataset>) {
         let data = Dataset::generate(5, 600);
         let web = standard_web(data.clone(), LatencyModel::lan());
-        let mut cat = VpsCatalog::new();
+        let mut shape = CatalogShape::new(FetchPolicy::default_policy());
         for (host, session) in sessions::all_sessions(&data) {
             let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            cat.add_map(web.clone(), map);
+            shape.add_map(web.clone(), map);
         }
+        let cat = VpsCatalog::over(Arc::new(shape), PageStore::new(), None);
         (LogicalLayer::new(cat, paper_schema()), data)
     }
 

@@ -314,6 +314,11 @@ pub fn map_from_facts(prog: &Program) -> Result<NavigationMap, PersistError> {
         let eid = as_usize(&a[0], "edge id")?;
         let from = as_usize(&a[1], "edge from")?;
         let to = as_usize(&a[2], "edge to")?;
+        if from >= map.nodes.len() || to >= map.nodes.len() {
+            return Err(PersistError::Malformed(format!(
+                "edge {eid}: endpoint {from} -> {to} out of range"
+            )));
+        }
         let mut actions = load_actions(prog, "e", eid)?;
         let action = actions
             .pop()
@@ -332,6 +337,11 @@ pub fn map_from_facts(prog: &Program) -> Result<NavigationMap, PersistError> {
     for a in facts(prog, "relation_reg", 2) {
         let rel = as_str(&a[0], "relation name")?;
         let node = as_usize(&a[1], "relation node")?;
+        if node >= map.nodes.len() {
+            return Err(PersistError::Malformed(format!(
+                "relation {rel}: node {node} out of range"
+            )));
+        }
         map.register_relation(&rel, node);
     }
     Ok(map)
@@ -738,6 +748,18 @@ mod tests {
             Err(PersistError::Malformed(_)) // non-dense ids
         ));
         assert!(matches!(parse_map("syntax error ("), Err(PersistError::Parse(_))));
+        // Edge endpoints and relation data nodes must name a node.
+        let one_node = "site('x'). entry(0). node(0, 'a', 'b', 'c', page).";
+        assert!(matches!(
+            parse_map(&format!(
+                "{one_node} edge(0, 0, 4242). action(e(0), 0, follow, 'More', '/more')."
+            )),
+            Err(PersistError::Malformed(_))
+        ));
+        assert!(matches!(
+            parse_map(&format!("{one_node} relation_reg('bogus', 4242).")),
+            Err(PersistError::Malformed(_))
+        ));
     }
 
     #[test]

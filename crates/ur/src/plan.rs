@@ -575,17 +575,19 @@ mod tests {
     use webbase_logical::paper_schema;
     use webbase_navigation::recorder::Recorder;
     use webbase_navigation::sessions;
-    use webbase_vps::VpsCatalog;
+    use webbase_navigation::PageStore;
+    use webbase_vps::{CatalogShape, FetchPolicy, VpsCatalog};
     use webbase_webworld::prelude::*;
 
-    fn layer() -> (LogicalLayer, Arc<Dataset>) {
+    pub(super) fn layer() -> (LogicalLayer, Arc<Dataset>) {
         let data = Dataset::generate(42, 600);
         let web = standard_web(data.clone(), LatencyModel::lan());
-        let mut cat = VpsCatalog::new();
+        let mut shape = CatalogShape::new(FetchPolicy::default_policy());
         for (host, session) in sessions::all_sessions(&data) {
             let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            cat.add_map(web.clone(), map);
+            shape.add_map(web.clone(), map);
         }
+        let cat = VpsCatalog::over(Arc::new(shape), PageStore::new(), None);
         (LogicalLayer::new(cat, paper_schema()), data)
     }
 
@@ -775,25 +777,13 @@ mod computed_plan_tests {
     use crate::compat::example62_rules;
     use crate::hierarchy::figure5;
     use crate::query::parse_query;
-    use webbase_logical::paper_schema;
-    use webbase_navigation::recorder::Recorder;
-    use webbase_navigation::sessions;
-    use webbase_vps::VpsCatalog;
-    use webbase_webworld::prelude::*;
 
     /// The §6.2 query: "make a list of used Jaguars … such that each
     /// car's monthly payments are less than 1,000 dollars, and its
     /// selling price is less than its Blue Book price."
     #[test]
     fn section62_monthly_payment_query() {
-        let data = Dataset::generate(42, 600);
-        let web = standard_web(data.clone(), LatencyModel::lan());
-        let mut cat = VpsCatalog::new();
-        for (host, session) in sessions::all_sessions(&data) {
-            let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            cat.add_map(web.clone(), map);
-        }
-        let mut layer = LogicalLayer::new(cat, paper_schema());
+        let (mut layer, _) = super::tests::layer();
         let planner = UrPlanner::new(figure5(), example62_rules());
 
         // A simple amortisation approximation: total interest at the

@@ -66,7 +66,6 @@ impl VpsStats {
 
 /// One mapped site: the map, its compiled program, and the Web it runs
 /// against.
-#[derive(Clone)]
 struct ShapeSite {
     web: SyntheticWeb,
     map: NavigationMap,
@@ -75,7 +74,6 @@ struct ShapeSite {
 
 /// One VPS relation: its owning site (an index into
 /// `CatalogShape::sites`), schema and handles.
-#[derive(Clone)]
 struct ShapeRelation {
     site: usize,
     schema: Schema,
@@ -84,7 +82,6 @@ struct ShapeRelation {
 
 /// The query-independent part of a VPS catalog (Table 1): built once
 /// per corpus, shared behind an `Arc` by every query's [`VpsCatalog`].
-#[derive(Clone)]
 pub struct CatalogShape {
     sites: Vec<ShapeSite>,
     relations: HashMap<String, ShapeRelation>,
@@ -121,10 +118,9 @@ impl CatalogShape {
     /// ([`webbase_webcheck::analyze_full`]: map lint, program safety,
     /// and semantic abstract interpretation); the findings accumulate
     /// in [`CatalogShape::preflight`] and the derived semantics are kept
-    /// per site. Loading itself is not refused here — deployment paths
-    /// that must reject E-level maps (e.g.
-    /// `Webbase::build_from_fact_maps`) consult the report before
-    /// calling in.
+    /// per site. Loading itself is not refused here — the engine's
+    /// shipped-maps build, which must reject E-level maps, checks them
+    /// before calling in.
     pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) -> usize {
         let (report, semantics) = webbase_webcheck::analyze_full(&map);
         self.preflight.merge(report);
@@ -189,6 +185,11 @@ impl CatalogShape {
         self.relation_site(relation)?.relation(relation)
     }
 
+    /// Every loaded map, in registration order.
+    pub fn maps(&self) -> impl ExactSizeIterator<Item = &NavigationMap> {
+        self.sites.iter().map(|s| &s.map)
+    }
+
     /// Relation names in registration order.
     pub fn relations(&self) -> impl Iterator<Item = &str> {
         self.order.iter().map(String::as_str)
@@ -240,9 +241,8 @@ pub struct VpsCatalog {
     /// One slot per shape site, filled with the site's navigator on the
     /// first invocation of one of its relations (or on `preload`).
     navigators: Vec<Option<Arc<SiteNavigator>>>,
-    /// The page store every navigator reads through; `None` gives each
-    /// navigator a private store.
-    store: Option<PageStore>,
+    /// The page store every navigator reads through.
+    store: PageStore,
     /// Per-host connection pools handed to every navigator.
     pool: Option<Arc<HostPools>>,
     pub stats: VpsStats,
@@ -273,35 +273,10 @@ pub struct VpsCatalog {
     invocation_log: Vec<(crate::memo::MemoKey, Relation, Arc<[Request]>)>,
 }
 
-impl Default for VpsCatalog {
-    fn default() -> Self {
-        VpsCatalog::new()
-    }
-}
-
 impl VpsCatalog {
-    /// An empty single-owner catalog: maps are added with
-    /// [`VpsCatalog::add_map`], each navigator reads through a private
-    /// page store under the default fetch policy.
-    pub fn new() -> VpsCatalog {
-        VpsCatalog::with_parts(
-            Arc::new(CatalogShape::new(FetchPolicy::default_policy())),
-            None,
-            None,
-        )
-    }
-
     /// A per-query catalog over a shared shape. Every navigator it
     /// builds reads through `store` and, when given, `pool`.
     pub fn over(shape: Arc<CatalogShape>, store: PageStore, pool: Option<Arc<HostPools>>) -> Self {
-        VpsCatalog::with_parts(shape, Some(store), pool)
-    }
-
-    fn with_parts(
-        shape: Arc<CatalogShape>,
-        store: Option<PageStore>,
-        pool: Option<Arc<HostPools>>,
-    ) -> VpsCatalog {
         VpsCatalog {
             navigators: vec![None; shape.sites.len()],
             shape,
@@ -316,16 +291,6 @@ impl VpsCatalog {
             reads: None,
             invocation_log: Vec::new(),
         }
-    }
-
-    /// Add every relation of a recorded map (see
-    /// [`CatalogShape::add_map`]) and build its navigator up front, so a
-    /// single-owner stack pays for navigator construction at build time,
-    /// not inside its first query.
-    pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) {
-        let site = Arc::make_mut(&mut self.shape).add_map(web, map);
-        self.navigators.push(None);
-        self.site_navigator(site);
     }
 
     /// The shared, query-independent part of this catalog.
@@ -346,7 +311,7 @@ impl VpsCatalog {
             s.map.clone(),
             s.compiled.clone(),
             self.shape.policy,
-            self.store.clone().unwrap_or_default(),
+            self.store.clone(),
         );
         if let Some(pool) = &self.pool {
             navigator.set_pool(pool.clone());
@@ -716,15 +681,21 @@ mod tests {
     use webbase_navigation::sessions;
     use webbase_relational::prelude::*;
 
-    fn catalog() -> (VpsCatalog, Arc<Dataset>) {
+    /// The thirteen car sites' shape, its web and its dataset.
+    fn fixture() -> (Arc<CatalogShape>, SyntheticWeb, Arc<Dataset>) {
         let data = Dataset::generate(5, 600);
         let web = standard_web(data.clone(), LatencyModel::lan());
-        let mut cat = VpsCatalog::new();
+        let mut shape = CatalogShape::new(FetchPolicy::default_policy());
         for (host, session) in sessions::all_sessions(&data) {
             let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            cat.add_map(web.clone(), map);
+            shape.add_map(web.clone(), map);
         }
-        (cat, data)
+        (Arc::new(shape), web, data)
+    }
+
+    fn catalog() -> (VpsCatalog, Arc<Dataset>) {
+        let (shape, _, data) = fixture();
+        (VpsCatalog::over(shape, PageStore::new(), None), data)
     }
 
     #[test]
@@ -882,22 +853,11 @@ mod tests {
         assert!(delta <= 2, "direct dereference should fetch ~1 page, got {delta}");
     }
 
-    fn shared_shape() -> (Arc<CatalogShape>, SyntheticWeb) {
-        let data = Dataset::generate(5, 600);
-        let web = standard_web(data.clone(), LatencyModel::lan());
-        let mut shape = CatalogShape::new(FetchPolicy::default_policy());
-        for (host, session) in sessions::all_sessions(&data) {
-            let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            shape.add_map(web.clone(), map);
-        }
-        (Arc::new(shape), web)
-    }
-
     const FORD: (&str, &str) = ("make", "ford");
 
     #[test]
     fn navigators_are_built_on_first_invocation() {
-        let (shape, _) = shared_shape();
+        let (shape, _, _) = fixture();
         let mut cat = VpsCatalog::over(shape, PageStore::new(), None);
         assert!(cat.built_hosts().is_empty(), "a per-query catalog starts with no navigator");
         // Planning-time questions never build one.
@@ -914,7 +874,7 @@ mod tests {
         use std::collections::BTreeSet;
         use webbase_navigation::budget::QueryBudget;
         use webbase_obs::MetricsRegistry;
-        let (shape, web) = shared_shape();
+        let (shape, web, _) = fixture();
         let corpus: BTreeSet<&str> =
             shape.relations().filter_map(|r| shape.relation_host(r)).collect();
         let registry = Arc::new(MetricsRegistry::new());
@@ -944,7 +904,7 @@ mod tests {
 
     #[test]
     fn a_pool_set_before_a_navigator_exists_reaches_it() {
-        let (shape, _) = shared_shape();
+        let (shape, _, _) = fixture();
         let pool = Arc::new(HostPools::new(1));
         let mut cat = VpsCatalog::over(shape, PageStore::new(), Some(pool.clone()));
         // Hold newsday's only connection: the catalog's first fetch

@@ -16,7 +16,7 @@ use webbase::{LatencyModel, Webbase};
 fn main() {
     println!("Building the used-car webbase (simulated Web, 13 sites)…\n");
     let mut wb = Webbase::build_demo(42, 600, LatencyModel::lan());
-    println!("{}", wb.report.render());
+    println!("{}", wb.report().render());
 
     let query = "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
                  safety='good', condition='good') WHERE price < bbprice";

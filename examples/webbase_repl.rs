@@ -29,7 +29,7 @@ fn main() {
         "ready. {} sites mapped, {} UR attributes. Try:\n  \
          UsedCarUR(make='ford', model, year, price < 6000)\n  \
          (.attrs, .hierarchy, .objects, .explain <q>, .stats, .quit)\n",
-        wb.maps.len(),
+        wb.maps().len(),
         wb.ur_attributes().len()
     );
 
@@ -54,11 +54,11 @@ fn main() {
             ".quit" | ".exit" => break,
             ".attrs" => println!("{}\n", wb.ur_attributes().join(", ")),
             ".hierarchy" => {
-                println!("{}", wb.planner.hierarchy.render(&wb.ur_attributes()));
+                println!("{}", wb.planner().hierarchy.render(&wb.ur_attributes()));
             }
             ".objects" => {
-                let objects = maximal_objects(&wb.planner.hierarchy, &wb.planner.rules);
-                println!("{}{}", wb.planner.rules.render(), render_maximal(&objects));
+                let objects = maximal_objects(&wb.planner().hierarchy, &wb.planner().rules);
+                println!("{}{}", wb.planner().rules.render(), render_maximal(&objects));
             }
             ".stats" => {
                 let s = &wb.layer.vps.stats;

@@ -49,7 +49,7 @@ pub fn fixture() -> &'static (Arc<Dataset>, Vec<String>) {
     static FIX: OnceLock<(Arc<Dataset>, Vec<String>)> = OnceLock::new();
     FIX.get_or_init(|| {
         let wb = Webbase::build_demo(seed(), 400, LatencyModel::lan());
-        (wb.data.clone(), wb.export_fact_maps())
+        (wb.data().clone(), wb.export_fact_maps())
     })
 }
 

@@ -25,7 +25,7 @@ fn classifieds_truth(data: &Arc<Dataset>, make: &str) -> usize {
 #[test]
 fn classifieds_collects_every_ground_truth_ad() {
     let mut wb = demo();
-    let data = wb.data.clone();
+    let data = wb.data().clone();
     for make in ["ford", "jaguar", "volvo"] {
         let rel = wb
             .layer
@@ -42,7 +42,7 @@ fn classifieds_collects_every_ground_truth_ad() {
 #[test]
 fn ur_query_price_below_book_matches_ground_truth() {
     let mut wb = demo();
-    let data = wb.data.clone();
+    let data = wb.data().clone();
     let (result, _) = wb
         .query(
             "UsedCarUR(make='bmw', model, year, price, bbprice, condition='good') \
@@ -138,8 +138,8 @@ fn scoped_constants_do_not_leak_across_roles() {
 fn relaxed_union_returns_partial_answers() {
     use webbase_logical::{paper_schema, LogicalLayer};
     use webbase_navigation::recorder::Recorder;
-    use webbase_navigation::sessions;
-    use webbase_vps::VpsCatalog;
+    use webbase_navigation::{sessions, FetchPolicy, PageStore};
+    use webbase_vps::{CatalogShape, VpsCatalog};
     use webbase_webworld::prelude::*;
 
     // Build a layer whose `classifieds` union has one un-invocable side:
@@ -147,10 +147,11 @@ fn relaxed_union_returns_partial_answers() {
     // nyTimes (nyTimes unmapped → unknown relation → strict union fails).
     let data = Dataset::generate(11, 300);
     let web = standard_web(data.clone(), LatencyModel::lan());
-    let mut cat = VpsCatalog::new();
+    let mut shape = CatalogShape::new(FetchPolicy::default_policy());
     let (map, _) = Recorder::record(web.clone(), "www.newsday.com", &sessions::newsday(&data))
         .expect("records");
-    cat.add_map(web, map);
+    shape.add_map(web, map);
+    let cat = VpsCatalog::over(Arc::new(shape), PageStore::new(), None);
     let layer = LogicalLayer::new(cat, paper_schema());
 
     let mut strict = layer;
@@ -185,29 +186,20 @@ fn figure_renderings_are_consistent() {
     // Figure 2 map renders with the Figure 4 program re-parseable.
     let map = wb.map_for("www.newsday.com").expect("mapped");
     assert!(map.render_dot().starts_with("digraph"));
-    let nav = webbase_navigation::executor::SiteNavigator::new(wb.web.clone(), map.clone());
+    let nav = webbase_navigation::executor::SiteNavigator::new(wb.web().clone(), map.clone());
     webbase_flogic::parser::parse_program(&nav.render_program())
         .expect("figure 4 output must re-parse");
     // Figure 5 + compatibility rules render.
-    let fig5 = wb.planner.hierarchy.render(&wb.ur_attributes());
+    let fig5 = wb.planner().hierarchy.render(&wb.ur_attributes());
     assert!(fig5.contains("UsedCarUR("));
-    assert!(wb.planner.rules.render().contains("Lease"));
+    assert!(wb.planner().rules.render().contains("Lease"));
 }
 
 #[test]
 fn second_domain_builds_through_public_api() {
     // The apartment-hunting example, as a checked integration test: the
     // library is a framework, not a car-shaped demo.
-    use webbase_logical::{LogicalLayer, LogicalRelation};
-    use webbase_navigation::extractor::{CellParse, ExtractionSpec, FieldSpec};
-    use webbase_navigation::recorder::{DesignerAction, Recorder};
-    use webbase_relational::standardize::Standardizer;
-    use webbase_relational::Expr;
-    use webbase_ur::compat::CompatRules;
-    use webbase_ur::hierarchy::{Alternative, ChoiceGroup, Hierarchy};
-    use webbase_ur::plan::UrPlanner;
-    use webbase_ur::query::parse_query;
-    use webbase_vps::VpsCatalog;
+    use webbase::{Corpus, Engine, EngineConfig, QueryOptions};
     use webbase_webworld::prelude::*;
     use webbase_webworld::sites::apartments::{fair_rent, AptListings, AptMarket, RentGuide};
 
@@ -217,103 +209,16 @@ fn second_domain_builds_through_public_api() {
         .site(RentGuide::new())
         .latency(LatencyModel::zero())
         .build();
-
-    let std = || {
-        let mut s = Standardizer::new(["borough", "bedrooms", "rent", "contact", "fairrent"]);
-        s.map("beds", "bedrooms");
-        s
-    };
-    let mut catalog = VpsCatalog::new();
-    for (host, session) in [
-        (
-            "www.aptlistings.com",
-            vec![
-                DesignerAction::Goto("http://www.aptlistings.com/".into()),
-                DesignerAction::SubmitForm {
-                    action: "/cgi-bin/find".into(),
-                    values: vec![("borough".into(), "brooklyn".into())],
-                },
-                DesignerAction::MarkDataPage {
-                    relation: "aptListings".into(),
-                    spec: ExtractionSpec::Table {
-                        fields: vec![
-                            FieldSpec::new("Borough", "borough", CellParse::Text),
-                            FieldSpec::new("Bedrooms", "bedrooms", CellParse::Number),
-                            FieldSpec::new("Rent", "rent", CellParse::Number),
-                            FieldSpec::new("Contact", "contact", CellParse::Text),
-                        ],
-                    },
-                },
-                DesignerAction::FollowLink("More".into()),
-            ],
-        ),
-        (
-            "www.rentguide.com",
-            vec![
-                DesignerAction::Goto("http://www.rentguide.com/".into()),
-                DesignerAction::SubmitForm {
-                    action: "/cgi-bin/guide".into(),
-                    values: vec![("borough".into(), "queens".into()), ("beds".into(), "1".into())],
-                },
-                DesignerAction::MarkDataPage {
-                    relation: "rentGuide".into(),
-                    spec: ExtractionSpec::Table {
-                        fields: vec![
-                            FieldSpec::new("Borough", "borough", CellParse::Text),
-                            FieldSpec::new("Bedrooms", "bedrooms", CellParse::Number),
-                            FieldSpec::new("Fair Rent", "fairrent", CellParse::Number),
-                        ],
-                    },
-                },
-            ],
-        ),
-    ] {
-        let mut r = Recorder::with_standardizer(web.clone(), host, std());
-        for a in &session {
-            r.apply(a).expect("applies");
-        }
-        let (map, _) = r.finish();
-        catalog.add_map(web.clone(), map);
-    }
-
-    let mut layer = LogicalLayer::new(
-        catalog,
-        vec![
-            LogicalRelation::new(
-                "listings",
-                Expr::relation("aptListings").project(["borough", "bedrooms", "rent", "contact"]),
-            ),
-            LogicalRelation::new(
-                "guidelines",
-                Expr::relation("rentGuide").project(["borough", "bedrooms", "fairrent"]),
-            ),
-        ],
-    );
-    let planner = UrPlanner::new(
-        Hierarchy {
-            ur_name: "AptUR".into(),
-            groups: vec![
-                ChoiceGroup {
-                    name: "Listings".into(),
-                    alternatives: vec![Alternative::new("Listings", "listings")],
-                },
-                ChoiceGroup {
-                    name: "FairRent".into(),
-                    alternatives: vec![Alternative::new("FairRent", "guidelines")],
-                },
-            ],
-        },
-        CompatRules::default(),
-    );
+    let engine = Engine::build_corpus(web, Corpus::apartments(), EngineConfig::default())
+        .expect("the apartment sessions replay");
 
     for borough in ["brooklyn", "manhattan", "bronx"] {
         for beds in 0..=3u32 {
-            let q = parse_query(&format!(
+            let text = format!(
                 "AptUR(borough='{borough}', bedrooms={beds}, rent, contact) \
                  WHERE rent < fairrent"
-            ))
-            .expect("parses");
-            let (result, _) = planner.execute(&q, &mut layer).expect("runs");
+            );
+            let result = engine.query("t", &text, QueryOptions::default()).expect("runs").relation;
             let guide = fair_rent(borough, beds);
             let expected: std::collections::BTreeSet<(u32, String)> = market
                 .matching(Some(borough), Some(beds))

@@ -66,7 +66,7 @@ fn all_sites_flaky_reports_exactly_the_degraded_sites() {
     let run = || {
         let mut wb = faulty_webbase(|_h, s| Box::new(FlakySite::new(s, 7)) as Box<dyn Site>);
         let (result, plan) = wb.query(JAGUAR_QUERY).expect("flaky query completes");
-        (result, plan.degradation, wb.web.stats())
+        (result, plan.degradation, wb.web().stats())
     };
     let (result, report, stats) = run();
     assert!(!result.is_empty(), "retries recover the flaky answers");

@@ -15,7 +15,7 @@ fn map_builder_statistics_shape() {
     // The §7 shape: Newsday is the biggest map, with a manual share
     // under 5%; every site stays in single-digit-ish manual territory.
     let newsday = wb
-        .report
+        .report()
         .sites
         .iter()
         .find(|(s, _)| s == "www.newsday.com")
@@ -26,7 +26,7 @@ fn map_builder_statistics_shape() {
     // ~5% as the paper reports (exact value varies with the dataset seed
     // since the rare-make branch may add map objects).
     assert!(newsday.manual_ratio() < 0.06);
-    for (site, st) in &wb.report.sites {
+    for (site, st) in &wb.report().sites {
         assert!(st.manual_ratio() < 0.15, "{site}: {}", st.manual_ratio());
     }
 }

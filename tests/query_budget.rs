@@ -70,19 +70,19 @@ fn exhausted_queries_never_error_and_account_for_every_denial() {
 #[test]
 fn a_token_captured_mid_more_chain_resumes_to_the_full_answer_fetch_free() {
     let mut unbounded = healthy_webbase();
-    let before = unbounded.web.total_stats().requests;
+    let before = unbounded.web().total_stats().requests;
     let (full, _) = unbounded.query(FORD_QUERY).expect("unbounded ford query");
-    let full_requests = (unbounded.web.total_stats().requests - before) as usize;
+    let full_requests = (unbounded.web().total_stats().requests - before) as usize;
     assert!(!full.is_empty(), "seed must produce ford answers");
 
     // Quota 6 covers newsday's entry chain but not its "More" chain:
     // the token is captured mid-pagination.
     let mut wb = healthy_webbase();
-    let before = wb.web.total_stats().requests;
+    let before = wb.web().total_stats().requests;
     let (partial, plan) = wb
         .query_with_budget(FORD_QUERY, QueryBudget::unlimited().with_fetch_quota(6))
         .expect("budget exhaustion must not be an error");
-    let mut spent = (wb.web.total_stats().requests - before) as usize;
+    let mut spent = (wb.web().total_stats().requests - before) as usize;
     assert!(subset(&partial, &full), "fabricated partial tuples");
     assert!(partial.len() < full.len(), "quota 6 must interrupt the run");
     let token = plan.resume.expect("an interrupted run must emit a token");
@@ -103,9 +103,9 @@ fn a_token_captured_mid_more_chain_resumes_to_the_full_answer_fetch_free() {
         rounds += 1;
         assert!(rounds < 100, "resume must converge");
         let mut next = healthy_webbase();
-        let before = next.web.total_stats().requests;
+        let before = next.web().total_stats().requests;
         let (r, plan) = next.resume(FORD_QUERY, &t).expect("resume must not fail");
-        let round_spent = (next.web.total_stats().requests - before) as usize;
+        let round_spent = (next.web().total_stats().requests - before) as usize;
         // Zero re-fetches of journalled pages: this round's network spend
         // plus the pages already paid for never exceeds the unbounded bill.
         assert!(

@@ -196,3 +196,25 @@ fn identical_seeds_give_identical_repair_reports() {
     assert_eq!(rep1, rep2);
     assert!(!rep1.is_clean() && !rep1.render().is_empty());
 }
+
+#[test]
+fn a_webbase_session_keeps_its_state_across_queries() {
+    // A `Webbase` answers every query on one long-lived session: the
+    // second run of a query reads the first run's cached pages and
+    // reuses its repairs instead of redoing them.
+    let mut wb = healthy_webbase();
+    wb.query(common::JAGUAR_QUERY).expect("first run");
+    let before = wb.web().total_stats().requests;
+    wb.query(common::JAGUAR_QUERY).expect("second run");
+    assert_eq!(wb.web().total_stats().requests, before, "a repeated query re-fetched");
+
+    let mut wb = renamed_link_webbase();
+    let first = wb.select("classifieds", FORD_QUERY).expect("first run");
+    let repairs = wb.layer.vps.repairs();
+    assert!(!repairs.is_clean(), "the first run repairs the renamed link");
+    let before = wb.web().total_stats().requests;
+    let second = wb.select("classifieds", FORD_QUERY).expect("second run");
+    assert_eq!(second, first);
+    assert_eq!(wb.web().total_stats().requests, before, "a repeated query re-fetched");
+    assert_eq!(wb.layer.vps.repairs(), repairs, "the repair was redone, not reused");
+}

@@ -74,7 +74,8 @@ fn cold_engine_queries_land_inside_the_static_interval() {
 #[test]
 fn apartment_invocations_respect_their_relation_intervals() {
     for seed in SEEDS {
-        let (web, maps, mut layer, planner) = webbase_bench::apartment_stack(seed);
+        let engine = webbase_bench::apartment_stack(seed);
+        let web = engine.web();
         // Per-relation, per-invocation: a fresh navigator (cold fetch
         // cache) runs each relation once; `pages_fetched` is then the
         // deduplicated page count of that single invocation.
@@ -85,7 +86,7 @@ fn apartment_invocations_respect_their_relation_intervals() {
                 vec![("borough".into(), Value::str("queens")), ("bedrooms".into(), Value::Int(1))],
             ),
         ];
-        for map in &maps {
+        for map in engine.maps() {
             let sem = site_semantics(map);
             for (name, given) in &bindings {
                 let Some(rel_sem) = sem.relation(name) else { continue };
@@ -103,15 +104,13 @@ fn apartment_invocations_respect_their_relation_intervals() {
         // The whole stack through the planner: both choice groups, so
         // both sites' spines are paid — the plan-level lower bound is
         // the sum of the two per-host spine sizes.
-        let total = maps
-            .iter()
+        let total = engine
+            .maps()
             .map(|m| site_semantics(m).total_cost())
             .fold(webbase_webcheck::CostInterval::empty(), webbase_webcheck::CostInterval::plus);
-        let q =
-            webbase_ur::query::parse_query("AptUR(borough='brooklyn', bedrooms=1, rent, fairrent)")
-                .expect("apt query parses");
+        let q = "AptUR(borough='brooklyn', bedrooms=1, rent, fairrent)";
         let before = web.total_stats().requests;
-        planner.execute(&q, &mut layer).expect("apt query runs");
+        engine.query("t0", q, QueryOptions::default()).expect("apt query runs");
         let observed = web.total_stats().requests - before;
         assert!(
             observed >= total.min && total.max.admits(observed),

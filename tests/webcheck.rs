@@ -59,7 +59,7 @@ fn every_deployed_map_carries_semantics_from_the_single_entry_point() {
     // with a positive lower bound and a non-empty static read-set per
     // registered relation.
     let wb = healthy_webbase();
-    for map in &wb.maps {
+    for map in wb.maps() {
         let sem = wb
             .layer
             .vps
@@ -149,7 +149,7 @@ fn compiled_site_programs_conform() {
     // Every real compiled program — the artefacts pass 2 exists for —
     // conforms to Figure 3 plus the executor supplements.
     let wb = healthy_webbase();
-    for map in &wb.maps {
+    for map in wb.maps() {
         let compiled = webbase_navigation::compile::compile_map(map);
         let report = webbase_webcheck::check_compiled(&map.site, &compiled);
         assert!(report.is_clean(), "{}:\n{}", map.site, report.render());
