@@ -42,7 +42,7 @@ fn bench_map_builder(c: &mut Criterion) {
     // Map → Transaction F-logic compilation (the paper: linear time).
     let (map, _) = Recorder::record(web.clone(), "www.newsday.com", &newsday).expect("records");
     group.bench_function("compile_newsday", |b| {
-        b.iter(|| black_box(compile_map(black_box(&map)).program.rule_count()));
+        b.iter(|| black_box(compile_map(black_box(&map)).expect("compiles").program.rule_count()));
     });
     group.finish();
 }

@@ -15,10 +15,11 @@
 //!   relation's site, schema and handles, the compiled site programs,
 //!   the per-site semantics); the logical definitions
 //!   ([`LogicalDefs`]); the planning index ([`PlanIndex`]); the
-//!   [`PageStore`] (fetch+parse once, every query hits); the
-//!   [`AnswerMemo`] (whole-invocation result reuse); the plan and
-//!   result caches; the per-host connection pools; and the tenant
-//!   admission tracker.
+//!   [`PageStore`] (fetch+parse once, every query hits); two
+//!   [`AnswerMemo`]s, one for VPS invocations and one for logical
+//!   invocations (whole-invocation result reuse); the plan and result
+//!   caches; the per-host connection pools; and the tenant admission
+//!   tracker.
 //! * **Per query**: the VPS catalog over the shape, its navigators, the
 //!   logical layer, the `Obs` handle, and any `QueryBudget` —
 //!   everything that carries query state, so tenants can never observe
@@ -55,7 +56,9 @@ use webbase_relational::eval::{AccessSpec, Evaluator};
 use webbase_relational::{BaseDelta, Expr, Incremental, Relation};
 use webbase_ur::plan::{PlanIndex, UrError, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
-use webbase_vps::{AnswerMemo, CatalogShape, MemoClaim, MemoKey, VpsCatalog};
+use webbase_vps::{
+    AnswerMemo, CatalogShape, Invocation, MemoClaim, MemoKey, Provenance, VpsCatalog,
+};
 use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
 use webbase_webworld::request::Request;
@@ -294,6 +297,14 @@ pub struct EngineStats {
     /// Invocations that waited for an in-flight leader's answer
     /// instead of recomputing it (memo singleflight).
     pub memo_coalesced: u64,
+    /// The logical memo's hits / misses / coalesced waits and resident
+    /// answers: §5 logical invocations answered without evaluating
+    /// their definition again. The `memo_*` fields above count the VPS
+    /// level only.
+    pub logical_hits: u64,
+    pub logical_misses: u64,
+    pub logical_coalesced: u64,
+    pub logical_len: usize,
     /// Whole-query result cache hits / misses / coalesced waits.
     pub result_hits: u64,
     pub result_misses: u64,
@@ -364,7 +375,7 @@ struct ViewRecord {
     object_rels: Vec<BTreeSet<String>>,
     /// VPS invocations (memo key + page deps) the answer was built from,
     /// in no particular order; the deps lists are the memo's own.
-    invocations: Vec<(MemoKey, Arc<[Request]>)>,
+    invocations: Vec<Invocation>,
     /// Hosts the plan's static read-set covers — the abstract
     /// interpreter's pre-seed of this ledger entry. A published view's
     /// dynamic deps always fall inside this set (the `readset_escape`
@@ -504,8 +515,8 @@ fn expr_rel_names(expr: &Expr, out: &mut BTreeSet<String>) {
 
 /// The session's VPS invocations as `(memo key, page deps)`, sharing
 /// each deps list with the catalog's log.
-fn invocation_deps(layer: &LogicalLayer) -> Vec<(MemoKey, Arc<[Request]>)> {
-    layer.vps.invocation_log().iter().map(|(k, _, d)| (k.clone(), d.clone())).collect()
+fn invocation_deps(layer: &LogicalLayer) -> Vec<Invocation> {
+    layer.vps.invocation_log().to_vec()
 }
 
 struct EngineInner {
@@ -523,7 +534,13 @@ struct EngineInner {
     index: PlanIndex,
     store: PageStore,
     pool: Arc<HostPools>,
+    /// VPS invocation answers, keyed by `(relation, bindings)`.
     memo: AnswerMemo,
+    /// Logical invocation answers, keyed by `(relation, access spec,
+    /// relaxed-union flag)`; each entry's provenance is the VPS
+    /// invocations its evaluation made. Drift evicts it with the VPS
+    /// memo, in the same step.
+    logical_memo: AnswerMemo,
     admission: Option<EngineAdmission>,
     /// Parsed-query + plan cache, keyed by query text. Every session
     /// is built from the same shared artifacts, so a plan computed
@@ -688,7 +705,7 @@ impl Engine {
             // Analysed (lint + program safety + the abstract
             // interpreter), compiled and handle-derived once per map per
             // build; every query's catalog shares the result.
-            shape.add_map(web.clone(), map);
+            shape.add_map(web.clone(), map).map_err(|e| WebbaseError::Load(e.to_string()))?;
         }
         let shape = Arc::new(shape);
         let logical = Arc::new(LogicalDefs::new(corpus.relations));
@@ -731,6 +748,7 @@ impl Engine {
                 store,
                 pool: Arc::new(HostPools::new(config.per_host_connections)),
                 memo: AnswerMemo::new(),
+                logical_memo: AnswerMemo::new(),
                 admission: config.admission.map(EngineAdmission::new),
                 plans: SafeRwLock::new(HashMap::new()),
                 results: AnswerMemo::new(),
@@ -818,9 +836,9 @@ impl Engine {
     /// only for planning builds none.
     ///
     /// A shared session reads through the engine's page store, pools
-    /// and answer memo, and records every page it reads in the returned
-    /// [`ReadSet`] — the provenance the freshness ledger stores with
-    /// published results. An isolated session shares *nothing*
+    /// and both answer memos, and records every page it reads in the
+    /// returned [`ReadSet`] — the provenance the freshness ledger stores
+    /// with published results. An isolated session shares *nothing*
     /// mutable: a private page store, no memo, no pools, and its read
     /// set stays empty — the single-owner cost model that
     /// [`crate::Webbase`], the load generator's serial baseline and the
@@ -833,7 +851,7 @@ impl Engine {
         } else {
             let store = inner.store.tracked(reads.clone());
             let mut vps = VpsCatalog::over(inner.shape.clone(), store, Some(inner.pool.clone()));
-            vps.set_memo(inner.memo.clone());
+            vps.set_memos(inner.memo.clone(), inner.logical_memo.clone());
             vps.set_reads(reads.clone());
             vps
         };
@@ -1112,7 +1130,7 @@ impl Engine {
                 self.record_view(text, rel, &plan, &layer, deps, fold);
             }
             // The freshness ledger, not the memo, tracks result provenance.
-            guard.settle(publish, None);
+            guard.settle(publish, Provenance::Unknown);
         }
         let metrics = obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
         let observation = options
@@ -1244,8 +1262,8 @@ impl Engine {
 
     /// React to one drift event: bump the drift clock, stamp the
     /// drifted pages (or host), evict exactly the dependent result-cache
-    /// views and memo entries, journal the invalidations, and mark the
-    /// views for refresh. The stamps are the only record of *what*
+    /// views and entries of both memos, journal the invalidations, and
+    /// mark the views for refresh. The stamps are the only record of *what*
     /// drifted: a victim's drifted deps are those stamped after its
     /// epoch. Runs synchronously on the publisher's thread — `publish`
     /// returns only after this completes, so a sweep-then-query
@@ -1253,13 +1271,17 @@ impl Engine {
     fn apply_drift(inner: &EngineInner, event: &DriftEvent) {
         inner.drift_metrics.inc(Metric::DriftEvents);
         let page_scoped = event.page_scoped();
-        // Invocation memo first: anything that read a changed page (or
-        // a tainted host) recomputes on next use — against the already
-        // sweep-refreshed store, so precisely without re-fetching.
-        if page_scoped {
-            inner.memo.invalidate_dependents(&event.requests);
-        } else {
-            inner.memo.invalidate_host(&event.host);
+        // Both invocation memos first, before the epoch bump: anything
+        // that read a changed page (or a tainted host) recomputes on
+        // next use — against the already sweep-refreshed store, so
+        // precisely without re-fetching. A logical entry goes when any
+        // VPS invocation under it read a drifted page.
+        for memo in [&inner.memo, &inner.logical_memo] {
+            if page_scoped {
+                memo.invalidate_dependents(&event.requests);
+            } else {
+                memo.invalidate_host(&event.host);
+            }
         }
         let mut ledger = inner.freshness.lock();
         ledger.epoch += 1;
@@ -1522,8 +1544,9 @@ impl Engine {
             rec.object_results = new_objects;
             // Merge: re-run invocations replace their old entries;
             // untouched objects keep theirs.
-            let rerun: HashSet<&MemoKey> = refreshed_invocations.iter().map(|(k, _)| k).collect();
-            rec.invocations.retain(|(k, _)| !rerun.contains(k));
+            let rerun: HashSet<&MemoKey> =
+                refreshed_invocations.iter().map(|(k, _)| k.as_ref()).collect();
+            rec.invocations.retain(|(k, _)| !rerun.contains(k.as_ref()));
             rec.invocations.extend(refreshed_invocations);
         }
         inner.drift_metrics.inc(Metric::DeltaRefresh);
@@ -1655,6 +1678,10 @@ impl Engine {
             memo_misses: inner.memo.misses(),
             memo_len: inner.memo.len(),
             memo_coalesced: inner.memo.coalesced(),
+            logical_hits: inner.logical_memo.hits(),
+            logical_misses: inner.logical_memo.misses(),
+            logical_coalesced: inner.logical_memo.coalesced(),
+            logical_len: inner.logical_memo.len(),
             result_hits: inner.results.hits(),
             result_misses: inner.results.misses(),
             result_coalesced: inner.results.coalesced(),
@@ -1691,7 +1718,7 @@ impl Engine {
         &self.inner.store
     }
 
-    /// The shared answer memo (for tests and diagnostics).
+    /// The shared VPS answer memo (for tests and diagnostics).
     pub fn memo(&self) -> &AnswerMemo {
         &self.inner.memo
     }
@@ -2090,6 +2117,7 @@ mod tests {
         assert_eq!(engine.stats().queries, 0, "isolated runs are not admitted queries");
         assert!(engine.store().is_empty(), "isolated run leaked into the shared store");
         assert!(engine.memo().is_empty(), "isolated run leaked into the shared memo");
+        assert_eq!(engine.stats().logical_len, 0, "isolated run leaked into the logical memo");
         let shared = engine.query("x", JAGUAR, QueryOptions::default()).expect("shared");
         assert_eq!(iso.relation, shared.relation, "isolation changed the answer");
     }
@@ -2351,6 +2379,7 @@ mod tests {
         let engine = Engine::build_demo(5, 400, LatencyModel::lan());
         engine.query("t", FORD, QueryOptions::default()).expect("ford");
         assert_eq!(engine.stats().result_misses, 1);
+        let logical_before = engine.stats().logical_len;
 
         engine.drift_bus().publish(DriftEvent {
             host: NEWSDAY.to_string(),
@@ -2361,6 +2390,12 @@ mod tests {
         });
         let stats = engine.stats();
         assert_eq!(stats.view_invalidated, 1, "the ford view reads newsday: {stats:?}");
+        // Logical answers built on a newsday invocation went with it;
+        // the ones that never read newsday stay.
+        assert!(
+            0 < stats.logical_len && stats.logical_len < logical_before,
+            "{logical_before} logical entries before the quarantine: {stats:?}"
+        );
 
         // The next identical query must recompute (miss), not serve the
         // quarantined answer — and its re-publish self-heals the view.
@@ -2556,6 +2591,83 @@ mod tests {
         let stats = second.stats();
         assert_eq!(stats.journal_recovered_results, 0, "stale result resurrected: {stats:?}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    // ── the logical memo ───────────────────────────────────────────────
+
+    /// Texts that make every logical invocation [`JAGUAR`] makes: they
+    /// differ from it only in UR-level predicates (a lower year floor,
+    /// another price bound).
+    const JAGUAR_WARMERS: [&str; 2] = [
+        "UsedCarUR(make='jaguar', model, year >= 1990, price, bbprice, safety='good', \
+         condition='good') WHERE price < bbprice",
+        "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, safety='good', \
+         condition='good') WHERE price < 90000",
+    ];
+
+    /// A published view's page deps and VPS invocation keys, as sets.
+    fn view_provenance(engine: &Engine, text: &str) -> (HashSet<Request>, HashSet<MemoKey>) {
+        let ledger = engine.inner.freshness.lock();
+        let view = &ledger.views[text];
+        let keys = view.invocations.iter().map(|(key, _)| MemoKey::clone(key)).collect();
+        (view.deps.iter().cloned().collect(), keys)
+    }
+
+    #[test]
+    fn a_query_answered_from_logical_hits_leaves_a_cold_runs_provenance() {
+        let cold = Engine::build_demo(5, 400, LatencyModel::lan());
+        let expected = cold.query("t", JAGUAR, QueryOptions::default()).expect("cold").relation;
+
+        let warm = Engine::build_demo(5, 400, LatencyModel::lan());
+        for text in JAGUAR_WARMERS {
+            warm.query("t", text, QueryOptions::default()).expect("warms");
+        }
+        let before = warm.stats();
+        let out = warm.query("t", JAGUAR, QueryOptions::default()).expect("warm");
+        let after = warm.stats();
+        assert_eq!(after.logical_misses, before.logical_misses, "a logical invocation was cold");
+        assert!(after.logical_hits > before.logical_hits, "{after:?}");
+        assert_eq!(
+            (after.memo_hits, after.memo_misses),
+            (before.memo_hits, before.memo_misses),
+            "an all-hit query ran a VPS invocation"
+        );
+        // The per-query counters still show the work it skipped.
+        assert_eq!(out.metrics.get(Metric::HandleInvocations), 0);
+        assert!(out.metrics.get(Metric::LogicalHits) > 0, "{:?}", out.metrics);
+
+        assert_eq!(out.relation, expected, "logical hits changed the answer");
+        assert_eq!(
+            view_provenance(&warm, JAGUAR),
+            view_provenance(&cold, JAGUAR),
+            "logical hits changed the view's deps or invocations"
+        );
+        assert_eq!(warm.stats().readset_escape, 0);
+    }
+
+    #[test]
+    fn budgeted_and_cancelled_runs_leave_no_logical_entry() {
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        engine
+            .query("b", JAGUAR, QueryOptions::budgeted(QueryBudget::unlimited()))
+            .expect("budgeted run");
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.logical_hits, stats.logical_misses, stats.logical_len),
+            (0, 0, 0),
+            "a budgeted run touched the logical memo: {stats:?}"
+        );
+
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let cancelled = QueryOptions { cancel: Some(cancel), ..QueryOptions::default() };
+        engine.query("c", JAGUAR, cancelled).expect("a cancelled query still returns");
+        let stats = engine.stats();
+        assert!(stats.logical_misses > 0, "the cancelled run consulted the level: {stats:?}");
+        assert_eq!(stats.logical_len, 0, "a cancelled run settled a logical answer: {stats:?}");
+
+        engine.query("t", JAGUAR, QueryOptions::default()).expect("clean run");
+        assert!(engine.stats().logical_len > 0, "a clean run settles its logical answers");
     }
 
     // ── plan-scoped sessions and the build-once planning index ────────

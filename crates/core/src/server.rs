@@ -366,6 +366,10 @@ fn handle_line<W: Write>(
             writeln!(writer, "memo_misses\t{}", s.memo_misses)?;
             writeln!(writer, "memo_len\t{}", s.memo_len)?;
             writeln!(writer, "memo_coalesced\t{}", s.memo_coalesced)?;
+            writeln!(writer, "logical_hits\t{}", s.logical_hits)?;
+            writeln!(writer, "logical_misses\t{}", s.logical_misses)?;
+            writeln!(writer, "logical_len\t{}", s.logical_len)?;
+            writeln!(writer, "logical_coalesced\t{}", s.logical_coalesced)?;
             writeln!(writer, "result_hits\t{}", s.result_hits)?;
             writeln!(writer, "result_misses\t{}", s.result_misses)?;
             writeln!(writer, "result_coalesced\t{}", s.result_coalesced)?;

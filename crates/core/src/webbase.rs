@@ -419,6 +419,39 @@ mod tests {
         let renamed = exported[0].replace(&original.report().sites[0].0, "www.copycat.com");
         exported.push(renamed);
         assert!(matches!(load(&exported), Err(WebbaseError::Load(_))), "a duplicate relation");
+
+        let newsday = |exported: &[String]| {
+            exported.iter().position(|m| m.contains("site('www.newsday.com')")).expect("newsday")
+        };
+        // A second newsday data page whose schema differs from the first:
+        // the map does not compile, an E-level pre-flight finding.
+        let mut exported = original.export_fact_maps();
+        let i = newsday(&exported);
+        exported[i].push_str("\nrelation_reg('newsday', 5).\n");
+        match load(&exported) {
+            Err(WebbaseError::Check(report)) => {
+                assert!(!report.with_code("E115").is_empty(), "{}", report.render());
+            }
+            other => panic!("a schema conflict must fail the pre-flight: {:?}", other.err()),
+        }
+        // An extraction fact moved to another data page duplicates an
+        // attribute there (and drops it from its own page).
+        let mut exported = original.export_fact_maps();
+        let i = newsday(&exported);
+        let fact = "extract_field(4, 5, 'Details', 'url', link_href).";
+        assert!(exported[i].contains(fact), "{}", exported[i]);
+        exported[i] =
+            exported[i].replace(fact, "extract_field(5, 5, 'Details', 'url', link_href).");
+        assert!(matches!(load(&exported), Err(WebbaseError::Load(_))), "a duplicated attribute");
+        // Extraction and fixed-value facts on parts the map does not have.
+        for fact in
+            ["extract_field(99, 0, 'Make', 'make', text).", "field_fixed(n(99), 0, 0, 'x')."]
+        {
+            let mut exported = original.export_fact_maps();
+            let i = newsday(&exported);
+            exported[i].push_str(&format!("\n{fact}\n"));
+            assert!(matches!(load(&exported), Err(WebbaseError::Load(_))), "{fact}");
+        }
     }
 
     #[test]

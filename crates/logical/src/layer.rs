@@ -107,26 +107,31 @@ impl RelationProvider for LogicalLayer {
         let defs = self.defs.clone();
         let def = &defs.get(name).ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?.def;
         let relaxed = self.relaxed_union;
-        let obs = self.vps.obs().clone();
-        let span = if obs.tracing() {
-            obs.sink.begin(
-                QUERY_TRACK,
-                SpanKind::Logical,
-                name.to_string(),
-                vec![("given", spec.to_string())],
-            )
-        } else {
-            webbase_vps::SpanHandle::INERT
-        };
-        let out = Evaluator::new(&mut self.vps).with_relaxed_union(relaxed).eval(def, spec);
-        if obs.tracing() {
-            obs.sink.advance(QUERY_TRACK, self.vps.stats.total_network());
-            match &out {
-                Ok(rel) => obs.sink.end_with(span, vec![("tuples", rel.len().to_string())]),
-                Err(e) => obs.sink.end_with(span, vec![("error", e.to_string())]),
+        // In a shared engine session an invocation another query already
+        // evaluated is answered from the logical memo; the definition
+        // runs only on a miss (and always in an isolated session).
+        self.vps.derived(name, spec, relaxed, |vps| {
+            let obs = vps.obs().clone();
+            let span = if obs.tracing() {
+                obs.sink.begin(
+                    QUERY_TRACK,
+                    SpanKind::Logical,
+                    name.to_string(),
+                    vec![("given", spec.to_string())],
+                )
+            } else {
+                webbase_vps::SpanHandle::INERT
+            };
+            let out = Evaluator::new(vps).with_relaxed_union(relaxed).eval(def, spec);
+            if obs.tracing() {
+                obs.sink.advance(QUERY_TRACK, vps.stats.total_network());
+                match &out {
+                    Ok(rel) => obs.sink.end_with(span, vec![("tuples", rel.len().to_string())]),
+                    Err(e) => obs.sink.end_with(span, vec![("error", e.to_string())]),
+                }
             }
-        }
-        out
+            out
+        })
     }
 }
 
@@ -149,7 +154,7 @@ mod tests {
         let mut shape = CatalogShape::new(FetchPolicy::default_policy());
         for (host, session) in sessions::all_sessions(&data) {
             let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            shape.add_map(web.clone(), map);
+            shape.add_map(web.clone(), map).expect("a recorded map compiles");
         }
         let cat = VpsCatalog::over(Arc::new(shape), PageStore::new(), None);
         (LogicalLayer::new(cat, paper_schema()), data)

@@ -36,6 +36,36 @@ pub struct CompiledSite {
     pub value_link_sets: Vec<(String, Vec<(String, String)>)>,
 }
 
+/// Why a map does not compile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompileError {
+    /// A relation is registered on several data pages whose extraction
+    /// scripts produce different schemas, so no one schema describes
+    /// its tuples.
+    SchemaConflict {
+        relation: String,
+        /// The data page whose schema disagrees with the first one's.
+        node: NodeId,
+        first: Vec<String>,
+        other: Vec<String>,
+    },
+}
+
+impl std::fmt::Display for CompileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CompileError::SchemaConflict { relation, node, first, other } => write!(
+                f,
+                "relation {relation}: data page {node} extracts ({}), an earlier data page ({})",
+                other.join(", "),
+                first.join(", ")
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CompileError {}
+
 #[derive(Debug, Clone)]
 pub struct CompiledRelation {
     pub name: String,
@@ -46,8 +76,10 @@ pub struct CompiledRelation {
 }
 
 /// Compile every registered relation of a map. Linear in the size of
-/// the (reachable part of the) map per relation.
-pub fn compile_map(map: &NavigationMap) -> CompiledSite {
+/// the (reachable part of the) map per relation. A relation whose data
+/// pages disagree on their schema is an error; webcheck reports it as an
+/// E-level finding.
+pub fn compile_map(map: &NavigationMap) -> Result<CompiledSite, CompileError> {
     let mut program = Program::new();
     let mut relations = Vec::new();
     let mut value_link_sets = Vec::new();
@@ -65,11 +97,14 @@ pub fn compile_map(map: &NavigationMap) -> CompiledSite {
         if let Some(existing) =
             relations.iter().find(|r: &&CompiledRelation| r.name == reg.relation)
         {
-            assert_eq!(
-                existing.attrs, attrs,
-                "all data pages of relation {} must share one schema",
-                reg.relation
-            );
+            if existing.attrs != attrs {
+                return Err(CompileError::SchemaConflict {
+                    relation: reg.relation.clone(),
+                    node: data_node,
+                    first: existing.attrs.clone(),
+                    other: attrs,
+                });
+            }
         } else {
             relations.push(CompiledRelation {
                 name: reg.relation.clone(),
@@ -168,7 +203,7 @@ pub fn compile_map(map: &NavigationMap) -> CompiledSite {
         }
     }
 
-    CompiledSite { program, relations, value_link_sets }
+    Ok(CompiledSite { program, relations, value_link_sets })
 }
 
 /// `nav_<rel>_n<k>`
@@ -352,7 +387,7 @@ mod tests {
 
     #[test]
     fn compiles_all_rule_shapes() {
-        let compiled = compile_map(&mini_map());
+        let compiled = compile_map(&mini_map()).expect("compiles");
         // top rule + home edge + used edge + data collect + More loop = 5
         assert_eq!(compiled.program.rule_count(), 5);
         assert_eq!(compiled.relations.len(), 1);
@@ -370,7 +405,7 @@ mod tests {
 
     #[test]
     fn program_is_reparseable() {
-        let compiled = compile_map(&mini_map());
+        let compiled = compile_map(&mini_map()).expect("compiles");
         let text = render_program(&compiled);
         let reparsed = webbase_flogic::parser::parse_program(&text)
             .unwrap_or_else(|e| panic!("compiled program must re-parse: {e}\n{text}"));
@@ -387,7 +422,7 @@ mod tests {
             distractor,
             ActionDescr::Follow(LinkDescr { name: "Sports".into(), href: "/sports".into() }),
         );
-        let compiled = compile_map(&m);
+        let compiled = compile_map(&m).expect("compiles");
         let text = render_program(&compiled);
         assert!(!text.contains("Sports"), "distractor leaked into program:\n{text}");
         assert_eq!(compiled.program.rule_count(), 5);
@@ -395,7 +430,7 @@ mod tests {
 
     #[test]
     fn form_params_only_for_schema_attrs() {
-        let compiled = compile_map(&mini_map());
+        let compiled = compile_map(&mini_map()).expect("compiles");
         let text = render_program(&compiled);
         // the form rule passes pair(make, V..) but nothing else
         assert!(text.contains("pair(make,"), "{text}");
@@ -420,11 +455,29 @@ mod tests {
             fields: vec![FieldSpec::new("Make", "make", CellParse::Text)],
         });
         m.register_relation("autoweb", data);
-        let compiled = compile_map(&m);
+        let compiled = compile_map(&m).expect("compiles");
         assert_eq!(compiled.value_link_sets.len(), 1);
         let text = render_program(&compiled);
         assert!(text.contains("doit_value"), "{text}");
         assert!(text.contains("linkset_autoweb_d1_n0_make"), "{text}");
+    }
+
+    #[test]
+    fn data_pages_that_disagree_on_a_relations_schema_do_not_compile() {
+        let mut m = mini_map();
+        let detail = m.add_node("DetailPg", "/car/*|dl", "Detail");
+        m.node_mut(detail).kind = NodeKind::Data(ExtractionSpec::DefList {
+            fields: vec![FieldSpec::new("Features", "features", CellParse::Text)],
+        });
+        m.register_relation("newsday", detail);
+        match compile_map(&m) {
+            Err(CompileError::SchemaConflict { relation, node, first, other }) => {
+                assert_eq!((relation.as_str(), node), ("newsday", detail));
+                assert_eq!(other, ["features"]);
+                assert_ne!(first, other);
+            }
+            Ok(_) => panic!("a relation with two schemas compiled"),
+        }
     }
 
     #[test]
@@ -441,7 +494,7 @@ mod tests {
             fields: vec![FieldSpec::new("Features", "features", CellParse::Text)],
         });
         m.register_relation("newsdayCarFeatures", detail);
-        let compiled = compile_map(&m);
+        let compiled = compile_map(&m).expect("compiles");
         assert_eq!(compiled.relations.len(), 2);
         let text = render_program(&compiled);
         assert!(text.contains("newsdayCarFeatures(V0) :-"), "{text}");

@@ -780,7 +780,9 @@ impl SiteNavigator {
         caching: bool,
         policy: FetchPolicy,
     ) -> SiteNavigator {
-        let compiled = Arc::new(compile_map(&map));
+        // Shipped maps reach navigators only through the engine, whose
+        // pre-flight rejects a map that does not compile.
+        let compiled = Arc::new(compile_map(&map).expect("a navigator's map compiles"));
         SiteNavigator::from_artifacts(web, map, compiled, caching, policy, PageStore::new())
     }
 
@@ -1020,7 +1022,8 @@ impl SiteNavigator {
         }
         if constants_changed {
             let working = state.working.as_ref().expect("repairs imply a working map");
-            let compiled = compile_map(working);
+            // Repairs rewrite constants, never a relation's fields.
+            let compiled = compile_map(working).expect("a repaired map compiles");
             for (id, choices) in &compiled.value_link_sets {
                 oracle.register_value_links(id, choices.clone());
             }

@@ -51,7 +51,7 @@ pub use budget::{
     ResumeToken, SiteSpend,
 };
 pub use cancel::{CancelToken, Interrupt};
-pub use compile::{compile_map, CompiledSite};
+pub use compile::{compile_map, CompileError, CompiledSite};
 pub use drift::{sweep, DriftBus, DriftEvent, DriftKind, DriftOrigin, SweepReport};
 pub use executor::{NavError, RunStats, SiteNavigator};
 pub use extractor::{CellParse, ExtractionSpec, FieldSpec, Record};

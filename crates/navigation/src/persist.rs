@@ -344,6 +344,35 @@ pub fn map_from_facts(prog: &Program) -> Result<NavigationMap, PersistError> {
         }
         map.register_relation(&rel, node);
     }
+
+    // Facts about parts the map does not have would otherwise be
+    // dropped without a word, silently changing what a relation
+    // extracts.
+    for a in facts(prog, "extract_field", 5) {
+        let node = as_usize(&a[0], "extract node")?;
+        if !matches!(map.nodes.get(node).map(|n| &n.kind), Some(NodeKind::Data(_))) {
+            return Err(PersistError::Malformed(format!(
+                "extract_field on node {node}, which is not a data node of the map"
+            )));
+        }
+    }
+    let edge_ids: Vec<Term> = facts(prog, "edge", 3).iter().map(|a| a[0].clone()).collect();
+    for a in facts(prog, "field_fixed", 4) {
+        let exists = match &a[0] {
+            Term::Compound(f, args) if args.len() == 1 => match (f.name().as_str(), &args[0]) {
+                ("n", Term::Int(id)) => usize::try_from(*id).is_ok_and(|id| id < map.nodes.len()),
+                ("e", id) => edge_ids.contains(id),
+                _ => false,
+            },
+            _ => false,
+        };
+        if !exists {
+            return Err(PersistError::Malformed(format!(
+                "field_fixed on {:?}, which is not a node or edge of the map",
+                a[0]
+            )));
+        }
+    }
     Ok(map)
 }
 
@@ -371,7 +400,14 @@ fn load_spec(prog: &Program, node: usize) -> Result<ExtractionSpec, PersistError
         rows.push((seq, FieldSpec::new(&source, &attr, parse)));
     }
     rows.sort_by_key(|(s, _)| *s);
-    let fields = rows.into_iter().map(|(_, f)| f).collect();
+    let fields: Vec<FieldSpec> = rows.into_iter().map(|(_, f)| f).collect();
+    let mut attrs = std::collections::HashSet::new();
+    if let Some(dup) = fields.iter().find(|f| !attrs.insert(f.attr.as_str())) {
+        return Err(PersistError::Malformed(format!(
+            "node {node}: attribute {} extracted twice",
+            dup.attr
+        )));
+    }
     Ok(match kind.as_str() {
         "table" => ExtractionSpec::Table { fields },
         "deflist" => ExtractionSpec::DefList { fields },

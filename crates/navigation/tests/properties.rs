@@ -68,7 +68,7 @@ proptest! {
     fn compiled_programs_reparse(site_i in 0usize..13) {
         let fix = fixture();
         let (_, map) = &fix.maps[site_i % fix.maps.len()];
-        let compiled = compile_map(map);
+        let compiled = compile_map(map).expect("a recorded map compiles");
         prop_assert!(compiled.program.rule_count() > 0);
         let text = webbase_flogic::pretty::program(&compiled.program);
         let reparsed = webbase_flogic::parser::parse_program(&text)

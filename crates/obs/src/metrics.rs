@@ -49,6 +49,9 @@ pub enum Metric {
     HandleInvocations,
     /// Tuples emitted by VPS handles into the logical layer.
     TuplesEmitted,
+    /// Logical-layer invocations answered from the engine's logical
+    /// memo: the definition was not evaluated, and no VPS handle ran.
+    LogicalHits,
     /// Navigation attempts abandoned because the query was cancelled
     /// (client disconnect, shutdown, or an explicit cancel).
     Cancellations,
@@ -74,7 +77,7 @@ pub enum Metric {
 }
 
 /// All metrics, in declaration order (= atomic array order).
-pub const METRICS: [Metric; 24] = [
+pub const METRICS: [Metric; 25] = [
     Metric::Fetches,
     Metric::CacheHits,
     Metric::Retries,
@@ -91,6 +94,7 @@ pub const METRICS: [Metric; 24] = [
     Metric::NavSteps,
     Metric::HandleInvocations,
     Metric::TuplesEmitted,
+    Metric::LogicalHits,
     Metric::Cancellations,
     Metric::DriftEvents,
     Metric::ViewInvalidated,
@@ -121,6 +125,7 @@ impl Metric {
             Metric::NavSteps => "nav_steps",
             Metric::HandleInvocations => "handle_invocations",
             Metric::TuplesEmitted => "tuples_emitted",
+            Metric::LogicalHits => "logical_hits",
             Metric::Cancellations => "cancellations",
             Metric::DriftEvents => "drift_events",
             Metric::ViewInvalidated => "view_invalidated",

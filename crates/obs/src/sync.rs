@@ -107,7 +107,9 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(items.len());
     let cursor = AtomicUsize::new(0);
     let claim = || {
         let mut done = Vec::new();
@@ -172,7 +174,7 @@ mod tests {
         // the caller among them — claims exactly one item per round, and
         // no worker's items are contiguous: the output order comes from
         // `fan_out` itself, not from the schedule.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let barrier = std::sync::Barrier::new(cores);
         let items: Vec<usize> = (0..2 * cores).collect();
         let out = fan_out(&items, |&i| {
@@ -200,7 +202,7 @@ mod tests {
         let message = payload
             .downcast_ref::<String>()
             .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+            .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string));
         assert_eq!(message.as_deref(), Some("item 17 failed"), "with its own payload");
     }
 }

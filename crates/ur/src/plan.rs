@@ -585,7 +585,7 @@ mod tests {
         let mut shape = CatalogShape::new(FetchPolicy::default_policy());
         for (host, session) in sessions::all_sessions(&data) {
             let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            shape.add_map(web.clone(), map);
+            shape.add_map(web.clone(), map).expect("a recorded map compiles");
         }
         let cat = VpsCatalog::over(Arc::new(shape), PageStore::new(), None);
         (LogicalLayer::new(cat, paper_schema()), data)

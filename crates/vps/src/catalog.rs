@@ -11,7 +11,7 @@
 //! its plan touches rather than for the whole corpus.
 
 use crate::handle::{derive_handles, Handle};
-use crate::memo::{AnswerMemo, MemoClaim};
+use crate::memo::{AnswerMemo, Invocation, MemoClaim, MemoKey, Provenance};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +21,8 @@ use webbase_navigation::map::NavigationMap;
 use webbase_navigation::pool::HostPools;
 use webbase_navigation::store::{PageStore, ReadSet};
 use webbase_navigation::{
-    compile_map, CancelToken, CompiledSite, DegradationReport, FetchPolicy, RepairReport,
+    compile_map, CancelToken, CompileError, CompiledSite, DegradationReport, FetchPolicy,
+    RepairReport,
 };
 use webbase_obs::{Metric, Obs, SpanHandle, SpanKind, QUERY_TRACK};
 use webbase_relational::binding::{Binding, BindingSet};
@@ -120,12 +121,17 @@ impl CatalogShape {
     /// in [`CatalogShape::preflight`] and the derived semantics are kept
     /// per site. Loading itself is not refused here — the engine's
     /// shipped-maps build, which must reject E-level maps, checks them
-    /// before calling in.
-    pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) -> usize {
+    /// before calling in — except for a map that does not compile,
+    /// which returns its error and leaves the shape unchanged.
+    pub fn add_map(
+        &mut self,
+        web: SyntheticWeb,
+        map: NavigationMap,
+    ) -> Result<usize, CompileError> {
+        let compiled = Arc::new(compile_map(&map)?);
         let (report, semantics) = webbase_webcheck::analyze_full(&map);
         self.preflight.merge(report);
         self.semantics.insert(map.site.clone(), Arc::new(semantics));
-        let compiled = Arc::new(compile_map(&map));
         let handles = derive_handles(&map);
         let site = self.sites.len();
         for rel in &compiled.relations {
@@ -144,7 +150,7 @@ impl CatalogShape {
             self.order.push(rel.name.clone());
         }
         self.sites.push(ShapeSite { web, map, compiled });
-        site
+        Ok(site)
     }
 
     /// The accumulated pre-flight diagnostics of every map loaded so
@@ -261,16 +267,19 @@ pub struct VpsCatalog {
     /// consulted on unbudgeted invocations of clean navigators (see
     /// [`crate::memo`]).
     memo: Option<AnswerMemo>,
+    /// Shared logical-answer memo for [`VpsCatalog::derived`], under
+    /// the same eligibility rules as `memo`.
+    logical_memo: Option<AnswerMemo>,
     /// The session's page-read recorder (the same [`ReadSet`] the
     /// engine's tracked [`PageStore`] handle records into). With it
     /// attached, each invocation's page dependencies are sliced off and
     /// remembered — and a memo *hit* replays the leader's recorded
     /// dependencies, since a hit fetches nothing itself.
     reads: Option<ReadSet>,
-    /// Every invocation this catalog served, with its answer and page
+    /// Every VPS invocation this catalog served, with its page
     /// dependencies — the base-relation log incremental view
     /// maintenance re-runs selectively.
-    invocation_log: Vec<(crate::memo::MemoKey, Relation, Arc<[Request]>)>,
+    invocation_log: Vec<Invocation>,
 }
 
 impl VpsCatalog {
@@ -288,6 +297,7 @@ impl VpsCatalog {
             positions: Vec::new(),
             obs: Obs::none(),
             memo: None,
+            logical_memo: None,
             reads: None,
             invocation_log: Vec::new(),
         }
@@ -401,10 +411,11 @@ impl VpsCatalog {
         self.cancel = Some(cancel);
     }
 
-    /// Attach a shared answer memo (the multi-query engine's
-    /// whole-invocation result cache).
-    pub fn set_memo(&mut self, memo: AnswerMemo) {
+    /// Attach the multi-query engine's shared answer memos: `memo` for
+    /// VPS invocations, `logical` for [`VpsCatalog::derived`].
+    pub fn set_memos(&mut self, memo: AnswerMemo, logical: AnswerMemo) {
         self.memo = Some(memo);
+        self.logical_memo = Some(logical);
     }
 
     /// Attach the session's page-read recorder (see the `reads` field).
@@ -412,11 +423,99 @@ impl VpsCatalog {
         self.reads = Some(reads);
     }
 
-    /// Invocations served so far: `(memo key, answer, page deps)` in
+    /// VPS invocations served so far: `(memo key, page deps)` in
     /// execution order. Memo hits appear too, sharing the leader's
-    /// recorded dependencies (empty when none were recorded).
-    pub fn invocation_log(&self) -> &[(crate::memo::MemoKey, Relation, Arc<[Request]>)] {
+    /// recorded dependencies (empty when none were recorded), and so do
+    /// the invocations a logical-memo hit replays.
+    pub fn invocation_log(&self) -> &[Invocation] {
         &self.invocation_log
+    }
+
+    /// Answer `relation`, a relation derived from VPS invocations (a §5
+    /// logical definition), through the shared logical-answer memo.
+    /// `eval` computes the answer over this catalog when no settled one
+    /// exists; the key is the relation, the access-spec constants and
+    /// the relaxed-union flag.
+    ///
+    /// The memo is read and filled under the VPS memo's rules: only
+    /// without a budget, and an answer settles only if every navigator
+    /// stayed clean and the query was not cancelled. An evaluation
+    /// error releases the key to a waiting session. The settled
+    /// provenance is the VPS invocations the evaluation made, so a hit
+    /// replays exactly those into the read set and the invocation log
+    /// and leaves the same provenance as the evaluation it skipped.
+    pub fn derived(
+        &mut self,
+        relation: &str,
+        spec: &AccessSpec,
+        relaxed: bool,
+        eval: impl FnOnce(&mut VpsCatalog) -> Result<Relation, EvalError>,
+    ) -> Result<Relation, EvalError> {
+        let memo = match (&self.logical_memo, &self.budget) {
+            (Some(memo), None) => memo.clone(),
+            _ => return eval(self),
+        };
+        // The spec iterates in attribute order, so the bindings are
+        // already canonical. Relation names are identifiers, so the
+        // relaxed suffix cannot collide with a strict key.
+        let name = if relaxed { format!("{relation} (relaxed)") } else { relation.to_string() };
+        let key: MemoKey =
+            (name, spec.iter().map(|(a, v)| (a.as_str().to_string(), v.clone())).collect());
+        let guard = match memo.claim(&key) {
+            MemoClaim::Hit(rel, provenance) => {
+                self.replay(relation, spec, &rel, &provenance);
+                return Ok(rel);
+            }
+            MemoClaim::Leader(guard) => guard,
+        };
+        let mark = self.invocation_log.len();
+        // An error returns here and drops the guard, releasing the key.
+        let rel = eval(self)?;
+        let clean = self.built().all(|nav| nav.degradation().is_clean())
+            && !self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        if clean {
+            let calls: Arc<[Invocation]> = self.invocation_log[mark..].into();
+            guard.settle(Some(rel.clone()), Provenance::Invocations(calls));
+        } else {
+            // A partial answer is never replayed: a waiting session
+            // takes the key over and evaluates it itself.
+            guard.settle(None, Provenance::Unknown);
+        }
+        Ok(rel)
+    }
+
+    /// A logical-memo hit: fold the settled evaluation's VPS
+    /// invocations into this session, exactly as running them would
+    /// have, and count and trace the hit.
+    fn replay(
+        &mut self,
+        relation: &str,
+        spec: &AccessSpec,
+        rel: &Relation,
+        provenance: &Provenance,
+    ) {
+        if let Provenance::Invocations(calls) = provenance {
+            if let Some(reads) = &self.reads {
+                for (_, deps) in calls.iter() {
+                    reads.extend(deps);
+                }
+            }
+            self.invocation_log.extend(calls.iter().cloned());
+        }
+        self.obs.count(Metric::LogicalHits);
+        if self.obs.tracing() {
+            self.obs.sink.advance(QUERY_TRACK, self.stats.total_network());
+            self.obs.sink.event(
+                QUERY_TRACK,
+                SpanKind::Logical,
+                relation.to_string(),
+                vec![
+                    ("given", spec.to_string()),
+                    ("disposition", "memo_hit".to_string()),
+                    ("tuples", rel.len().to_string()),
+                ],
+            );
+        }
     }
 
     /// Relation invocations that ran to completion — no budget denial
@@ -554,12 +653,15 @@ impl RelationProvider for VpsCatalog {
         let key = AnswerMemo::key(name, &given);
         let memo_lead = match (&self.memo, &self.budget) {
             (Some(memo), None) => match memo.claim(&key) {
-                MemoClaim::Hit(rel, deps) => {
+                MemoClaim::Hit(rel, provenance) => {
                     // A hit fetches nothing, but the answer still
                     // *depends* on the pages its leader read — fold
                     // them into this session's read set so the
                     // result-cache entry records them too.
-                    let deps = deps.unwrap_or_else(|| Arc::from([]));
+                    let deps = match provenance {
+                        Provenance::Pages(deps) => deps,
+                        _ => Arc::from([]),
+                    };
                     if let Some(reads) = &self.reads {
                         reads.extend(&deps);
                     }
@@ -578,7 +680,7 @@ impl RelationProvider for VpsCatalog {
                         );
                     }
                     *self.stats.invocations.entry(name.to_string()).or_default() += 1;
-                    self.invocation_log.push((key, rel.clone(), deps));
+                    self.invocation_log.push((Arc::new(key), deps));
                     return Ok(rel);
                 }
                 // Held through the computation below; an early
@@ -657,18 +759,21 @@ impl RelationProvider for VpsCatalog {
             );
         }
         // The pages this invocation read (cache hits and fresh fetches
-        // alike — either way the answer was computed from them).
-        let deps: Arc<[Request]> =
-            self.reads.as_ref().map(|r| r.slice_from(read_mark)).unwrap_or_default().into();
+        // alike — either way the answer was computed from them). With no
+        // read set attached they are unknown, and so is the memo
+        // entry's provenance: any drift event evicts it.
+        let deps: Option<Arc<[Request]>> =
+            self.reads.as_ref().map(|r| r.slice_from(read_mark).into());
         // Memoize only answers from a navigator that has never seen
         // degradation: a truncated or partially healed run must not be
         // replayed to other queries as complete. Settling `None` still
         // releases the key and wakes waiting sessions.
         if let Some(guard) = memo_lead {
             let clean = navigator.degradation().is_clean();
-            guard.settle(clean.then(|| rel.clone()), Some(deps.clone()));
+            let provenance = deps.clone().map_or(Provenance::Unknown, Provenance::Pages);
+            guard.settle(clean.then(|| rel.clone()), provenance);
         }
-        self.invocation_log.push((key, rel.clone(), deps));
+        self.invocation_log.push((Arc::new(key), deps.unwrap_or_else(|| Arc::from([]))));
         Ok(rel)
     }
 }
@@ -688,7 +793,7 @@ mod tests {
         let mut shape = CatalogShape::new(FetchPolicy::default_policy());
         for (host, session) in sessions::all_sessions(&data) {
             let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
-            shape.add_map(web.clone(), map);
+            shape.add_map(web.clone(), map).expect("a recorded map compiles");
         }
         (Arc::new(shape), web, data)
     }
@@ -900,6 +1005,126 @@ mod tests {
         let _ = cat.fetch("newsday", &AccessSpec::new().with(FORD.0, FORD.1));
         assert_eq!(cat.built_hosts(), ["www.newsday.com"]);
         assert_eq!(web.total_stats().requests, before, "the cancel stopped the first invocation");
+    }
+
+    /// A shared-engine-style session: the VPS memo, the logical memo
+    /// and a read set attached, like an engine's shared session.
+    fn shared_session(
+        shape: &Arc<CatalogShape>,
+        memo: &AnswerMemo,
+        logical: &AnswerMemo,
+    ) -> (VpsCatalog, ReadSet) {
+        let mut cat = VpsCatalog::over(shape.clone(), PageStore::new(), None);
+        let reads = ReadSet::new();
+        cat.set_memos(memo.clone(), logical.clone());
+        cat.set_reads(reads.clone());
+        (cat, reads)
+    }
+
+    #[test]
+    fn a_logical_hit_replays_the_provenance_of_the_evaluation_it_skips() {
+        let (shape, _, _) = fixture();
+        let (memo, logical) = (AnswerMemo::new(), AnswerMemo::new());
+        let spec = AccessSpec::new().with(FORD.0, FORD.1);
+        // A dependent join: one newsday invocation, then one
+        // newsdayCarFeatures invocation per ad.
+        let ads = Expr::relation("newsday").join(Expr::relation("newsdayCarFeatures"));
+        let (mut cold, cold_reads) = shared_session(&shape, &memo, &logical);
+        let answer =
+            cold.derived("ads", &spec, false, |vps| Evaluator::new(vps).eval(&ads, &spec)).unwrap();
+        assert!(cold.invocation_log().len() > 2, "the join invokes its inner side per ad");
+
+        let (mut warm, warm_reads) = shared_session(&shape, &memo, &logical);
+        let vps_before = (memo.hits(), memo.misses());
+        let hit = warm
+            .derived("ads", &spec, false, |_: &mut VpsCatalog| -> Result<Relation, EvalError> {
+                panic!("a settled logical invocation was evaluated again")
+            })
+            .expect("hits");
+        assert_eq!(hit, answer);
+        assert_eq!((memo.hits(), memo.misses()), vps_before, "the hit ran no VPS invocation");
+        assert_eq!((logical.hits(), logical.misses()), (1, 1));
+        // Same provenance as the skipped evaluation: the invocation log
+        // (sharing the VPS entries' deps lists) and the read set.
+        assert_eq!(warm.invocation_log(), cold.invocation_log());
+        for ((_, a), (_, b)) in warm.invocation_log().iter().zip(cold.invocation_log()) {
+            assert!(Arc::ptr_eq(a, b), "a replay copied a deps list");
+        }
+        assert_eq!(warm_reads.all(), cold_reads.all());
+        assert!(warm.built_hosts().is_empty(), "a hit builds no navigator");
+
+        // The relaxed-union flag is part of the key.
+        let mut relaxed = 0;
+        warm.derived("ads", &spec, true, |vps| {
+            relaxed += 1;
+            Evaluator::new(vps).with_relaxed_union(true).eval(&ads, &spec)
+        })
+        .expect("evaluates");
+        assert_eq!((relaxed, logical.len()), (1, 2));
+    }
+
+    #[test]
+    fn budgeted_and_degraded_evaluations_leave_no_logical_entry() {
+        use webbase_navigation::budget::QueryBudget;
+        use webbase_webworld::faults::FlakySite;
+        use webbase_webworld::server::Site;
+        let spec = AccessSpec::new().with(FORD.0, FORD.1);
+        let (memo, logical) = (AnswerMemo::new(), AnswerMemo::new());
+
+        // A budgeted session neither reads nor fills the level.
+        let (shape, _, _) = fixture();
+        let (mut cat, _) = shared_session(&shape, &memo, &logical);
+        cat.set_budget(Arc::new(BudgetTracker::new(QueryBudget::unlimited())));
+        cat.derived("ads", &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
+        assert_eq!((logical.hits(), logical.misses(), logical.len()), (0, 0, 0));
+
+        // Maps recorded on the healthy web, served by one failing every
+        // request: the evaluation degrades, so nothing settles.
+        let data = Dataset::generate(5, 600);
+        let healthy = standard_web(data.clone(), LatencyModel::lan());
+        let failing = standard_web_faulty(data.clone(), LatencyModel::lan(), |_, s| {
+            Box::new(FlakySite::new(s, 1)) as Box<dyn Site>
+        });
+        let mut broken = CatalogShape::new(FetchPolicy::default_policy());
+        let (host, session) = sessions::all_sessions(&data).swap_remove(0);
+        let (map, _) = Recorder::record(healthy, host, &session).expect("records");
+        broken.add_map(failing, map).expect("a recorded map compiles");
+        let (mut cat, _) = shared_session(&Arc::new(broken), &memo, &logical);
+        let _ = cat.derived("ads", &spec, false, |vps| vps.fetch("newsday", &spec));
+        assert!(!cat.degradation().is_clean(), "every fetch failed");
+        assert_eq!(logical.misses(), 1, "the degraded run led the key");
+        assert!(logical.is_empty(), "a degraded evaluation settled an answer");
+    }
+
+    #[test]
+    fn memos_without_a_read_set_settle_entries_any_drift_evicts() {
+        use webbase_navigation::{DriftBus, DriftEvent, DriftKind, DriftOrigin};
+        let (shape, _, _) = fixture();
+        let (memo, logical) = (AnswerMemo::new(), AnswerMemo::new());
+        let bus = DriftBus::new();
+        for m in [memo.clone(), logical.clone()] {
+            bus.subscribe(move |event| {
+                m.invalidate_dependents(&event.requests);
+            });
+        }
+        // Memos attached, read set not: the pages each answer read are
+        // unknown.
+        let mut cat = VpsCatalog::over(shape, PageStore::new(), None);
+        cat.set_memos(memo.clone(), logical.clone());
+        let spec = AccessSpec::new().with(FORD.0, FORD.1);
+        cat.derived("ads", &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
+        assert_eq!((memo.len(), logical.len()), (1, 1));
+        // Drift on a page neither answer could have read still evicts
+        // both: unknown provenance never outlives a drift event.
+        bus.publish(DriftEvent {
+            host: "www.elsewhere.test".to_string(),
+            kind: DriftKind::PageChanged,
+            origin: DriftOrigin::Manual,
+            requests: vec![Request::get(Url::new("www.elsewhere.test", "/"))],
+            node: None,
+        });
+        assert!(memo.is_empty(), "a VPS entry of unknown provenance survived drift");
+        assert!(logical.is_empty(), "a logical entry of unknown provenance survived drift");
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod memo;
 
 pub use catalog::{CatalogShape, VpsCatalog, VpsStats};
 pub use handle::{derive_handles, Handle};
-pub use memo::{AnswerMemo, LeaderGuard, MemoClaim, MemoKey};
+pub use memo::{AnswerMemo, Invocation, LeaderGuard, MemoClaim, MemoKey, Provenance};
 // Degradation reporting and query budgets surface through every layer;
 // re-export so upper layers need not depend on webbase-navigation
 // directly.

@@ -8,11 +8,15 @@
 //! produced — sound because the simulated Web is a pure function of the
 //! request, so equal invocations denote equal answers.
 //!
-//! The catalog only consults it on *unbudgeted* invocations whose
-//! navigator has seen no degradation: a budgeted run must do its own
-//! admission, journalling, and position bookkeeping, and a degraded
-//! navigator may have produced a partial answer that must not be
-//! replayed to other tenants as complete.
+//! The engine keeps two instances. The VPS memo answers handle
+//! invocations; its entries' provenance is the pages each one read. The
+//! logical memo answers §5 logical invocations; its entries' provenance
+//! is the VPS invocations each evaluation made. Both are consulted only
+//! by unbudgeted sessions and settled only from clean runs: a budgeted
+//! run must do its own admission, journalling, and position
+//! bookkeeping, and a degraded or cancelled run may have produced a
+//! partial answer that must not be replayed to other tenants as
+//! complete.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,16 +30,48 @@ use webbase_webworld::request::Request;
 /// attribute so equivalent specs collide.
 pub type MemoKey = (String, Vec<(String, Value)>);
 
-/// One memoised answer and the page requests it was computed from —
-/// recorded by the leader so drift in any of those pages evicts exactly
-/// the dependent entries, and so a memo *hit* can report the same
-/// dependencies without re-fetching anything. `None` deps mean unknown
-/// provenance: any drift event evicts the entry. Both halves are shared
-/// (`Relation` and `Arc`), so a hit copies neither.
+/// One VPS invocation as provenance: its memo key and the page requests
+/// it read (empty when they are unknown). Both halves are shared — the
+/// deps list is the one the VPS entry owns — so the logs, logical
+/// entries and views that copy an invocation copy two pointers.
+pub type Invocation = (Arc<MemoKey>, Arc<[Request]>);
+
+/// What a memoised answer was computed from. Drift evicts exactly the
+/// entries whose provenance reads a drifted page, and a hit replays the
+/// provenance into the reusing session, since a hit reads nothing
+/// itself.
+#[derive(Debug, Clone)]
+pub enum Provenance {
+    /// Nothing recorded: any drift event evicts the entry.
+    Unknown,
+    /// The page requests one VPS invocation read.
+    Pages(Arc<[Request]>),
+    /// The VPS invocations one logical evaluation made. One invocation
+    /// with no recorded pages makes the whole entry unknown provenance.
+    Invocations(Arc<[Invocation]>),
+}
+
+impl Provenance {
+    /// Must drift on the pages `drifted` matches evict this entry?
+    fn touched_by(&self, drifted: &impl Fn(&Request) -> bool) -> bool {
+        match self {
+            Provenance::Unknown => true,
+            Provenance::Pages(deps) => deps.iter().any(drifted),
+            Provenance::Invocations(calls) => {
+                calls.iter().any(|(_, deps)| deps.is_empty() || deps.iter().any(drifted))
+            }
+        }
+    }
+}
+
+/// One memoised answer and what it was computed from, recorded by the
+/// leader so drift evicts exactly the dependent entries and a hit can
+/// report the same dependencies without re-fetching anything. Both
+/// halves are shared (`Relation` and `Arc`s), so a hit copies neither.
 #[derive(Debug)]
 struct Entry {
     answer: Relation,
-    deps: Option<Arc<[Request]>>,
+    provenance: Provenance,
 }
 
 #[derive(Debug)]
@@ -46,6 +82,10 @@ struct MemoInner {
     /// leader's answer instead of recomputing it.
     inflight: SafeMutex<HashSet<MemoKey>>,
     settled: Condvar,
+    /// Bumped by every drift invalidation. A leader that saw it move
+    /// while computing does not publish: its answer may predate the
+    /// drift, and the eviction that would have caught it already ran.
+    invalidations: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -74,6 +114,7 @@ impl AnswerMemo {
                 answers: SafeRwLock::new(HashMap::new()),
                 inflight: SafeMutex::new(HashSet::new()),
                 settled: Condvar::new(),
+                invalidations: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 coalesced: AtomicU64::new(0),
@@ -101,7 +142,7 @@ impl AnswerMemo {
     /// Memoise an answer of unknown provenance (any drift event evicts
     /// it).
     pub fn insert(&self, key: MemoKey, answer: Relation) {
-        self.inner.answers.write().insert(key, Entry { answer, deps: None });
+        self.inner.answers.write().insert(key, Entry { answer, provenance: Provenance::Unknown });
     }
 
     /// Current answer for `key` without touching the hit/miss counters
@@ -133,12 +174,16 @@ impl AnswerMemo {
     /// Evict every entry with a dependency matching `drifted`, or with
     /// no recorded dependencies.
     fn invalidate_where(&self, drifted: impl Fn(&Request) -> bool) -> Vec<MemoKey> {
+        // Bumped before the scan: a leader settling after the scan
+        // finds the bump and drops its answer; one settling before it
+        // is in the map for the scan to find.
+        self.inner.invalidations.fetch_add(1, Ordering::SeqCst);
         let victims: Vec<MemoKey> = self
             .inner
             .answers
             .read()
             .iter()
-            .filter(|(_, e)| e.deps.as_ref().is_none_or(|deps| deps.iter().any(&drifted)))
+            .filter(|(_, e)| e.provenance.touched_by(&drifted))
             .map(|(key, _)| key.clone())
             .collect();
         if !victims.is_empty() {
@@ -150,12 +195,12 @@ impl AnswerMemo {
         victims
     }
 
-    /// The memoised answer and deps for `key`, counted as a hit.
+    /// The memoised answer and provenance for `key`, counted as a hit.
     fn hit(&self, key: &MemoKey) -> Option<MemoClaim> {
         let answers = self.inner.answers.read();
         let entry = answers.get(key)?;
         self.inner.hits.fetch_add(1, Ordering::Relaxed);
-        Some(MemoClaim::Hit(entry.answer.clone(), entry.deps.clone()))
+        Some(MemoClaim::Hit(entry.answer.clone(), entry.provenance.clone()))
     }
 
     /// Singleflight claim: either a memoised answer, or leadership of
@@ -166,10 +211,15 @@ impl AnswerMemo {
     /// thundering herd, one session pays for each distinct invocation
     /// and every other session gets it for a hash lookup.
     ///
-    /// Deadlock-free by construction: a session leads at most one key
-    /// at a time (invocations are not nested), and a leader never
-    /// waits — so every edge in the wait-for graph points at a
-    /// non-waiting session. The wait is additionally bounded: a waiter
+    /// Deadlock-free by construction. The engine's three instances
+    /// form levels, and a session only ever waits on a lower level than
+    /// any key it leads: a query leader (result cache) waits on logical
+    /// and VPS keys; a logical leader waits only on VPS keys, because
+    /// definitions range over VPS relations alone; a VPS leader never
+    /// waits. A session leads at most one key per level at a time
+    /// (invocations at one level are not nested), so every edge in the
+    /// wait-for graph points strictly downward and ends at a VPS leader
+    /// that is computing. The wait is additionally bounded: a waiter
     /// re-checks every 50ms, so if a leader vanishes without settling
     /// (its query failed), a waiter takes over.
     pub fn claim(&self, key: &MemoKey) -> MemoClaim {
@@ -189,7 +239,11 @@ impl AnswerMemo {
                 if first {
                     self.inner.misses.fetch_add(1, Ordering::Relaxed);
                 }
-                return MemoClaim::Leader(LeaderGuard { memo: self.clone(), key: key.clone() });
+                return MemoClaim::Leader(LeaderGuard {
+                    memo: self.clone(),
+                    key: key.clone(),
+                    invalidations: self.inner.invalidations.load(Ordering::SeqCst),
+                });
             }
             if first {
                 self.inner.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -234,8 +288,8 @@ impl AnswerMemo {
 #[derive(Debug)]
 pub enum MemoClaim {
     /// A previous identical invocation already settled this answer,
-    /// with the page requests it was computed from (`None`: unknown).
-    Hit(Relation, Option<Arc<[Request]>>),
+    /// with what it was computed from.
+    Hit(Relation, Provenance),
     /// The caller owns this key's computation; every other session
     /// asking for it waits until the guard settles (or is dropped).
     Leader(LeaderGuard),
@@ -249,16 +303,22 @@ pub enum MemoClaim {
 pub struct LeaderGuard {
     memo: AnswerMemo,
     key: MemoKey,
+    /// The memo's invalidation count when leadership began.
+    invalidations: u64,
 }
 
 impl LeaderGuard {
     /// Publish the computed answer — `None` when the run degraded and
-    /// must not be replayed to other tenants — with the page requests
-    /// it was computed from (`None`: unknown provenance), then release
-    /// the key.
-    pub fn settle(self, answer: Option<Relation>, deps: Option<Arc<[Request]>>) {
+    /// must not be replayed to other tenants — with what it was
+    /// computed from, then release the key. An answer is dropped
+    /// instead when a drift invalidation ran since the claim: it may
+    /// have been computed from pages that drift replaced.
+    pub fn settle(self, answer: Option<Relation>, provenance: Provenance) {
         if let Some(answer) = answer {
-            self.memo.inner.answers.write().insert(self.key.clone(), Entry { answer, deps });
+            let mut answers = self.memo.inner.answers.write();
+            if self.memo.inner.invalidations.load(Ordering::SeqCst) == self.invalidations {
+                answers.insert(self.key.clone(), Entry { answer, provenance });
+            }
         }
         // Drop runs next: it clears the in-flight mark *after* the
         // answer is visible, which is the ordering `claim` relies on.
@@ -323,7 +383,7 @@ mod tests {
         let memo = AnswerMemo::new();
         let key = AnswerMemo::key("r", &[]);
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), None),
+            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), Provenance::Unknown),
             MemoClaim::Hit(..) => panic!("empty memo cannot hit"),
         }
         match memo.claim(&key) {
@@ -353,7 +413,7 @@ mod tests {
             })
             .collect();
         std::thread::sleep(Duration::from_millis(20));
-        leader.settle(Some(one_row()), None);
+        leader.settle(Some(one_row()), Provenance::Unknown);
         for worker in herd {
             assert_eq!(worker.join().expect("follower"), 1);
         }
@@ -381,7 +441,7 @@ mod tests {
         // The key is released: the next claimant becomes leader and the
         // herd converges as if the panic never happened.
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), None),
+            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), Provenance::Unknown),
             MemoClaim::Hit(..) => panic!("nothing was published by the panicker"),
         }
         match memo.claim(&key) {
@@ -411,7 +471,7 @@ mod tests {
         assert_eq!(memo.get(&key).expect("still memoised").len(), 1);
         memo.insert(AnswerMemo::key("s", &[]), one_row());
         match memo.claim(&AnswerMemo::key("t", &[])) {
-            MemoClaim::Leader(guard) => guard.settle(None, None),
+            MemoClaim::Leader(guard) => guard.settle(None, Provenance::Unknown),
             MemoClaim::Hit(..) => panic!("unknown key cannot hit"),
         }
         assert!(webbase_obs::sync::poison_recoveries() > before);
@@ -420,14 +480,17 @@ mod tests {
     /// Lead `key` and settle `one_row()` with `deps`.
     fn settle_with(memo: &AnswerMemo, key: &MemoKey, deps: Vec<Request>) {
         match memo.claim(key) {
-            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), Some(deps.into())),
+            MemoClaim::Leader(guard) => {
+                guard.settle(Some(one_row()), Provenance::Pages(deps.into()));
+            }
             MemoClaim::Hit(..) => panic!("key settled twice"),
         }
     }
 
     fn deps_of(memo: &AnswerMemo, key: &MemoKey) -> Option<Vec<Request>> {
         match memo.claim(key) {
-            MemoClaim::Hit(_, deps) => deps.map(|d| d.to_vec()),
+            MemoClaim::Hit(_, Provenance::Pages(deps)) => Some(deps.to_vec()),
+            MemoClaim::Hit(..) => None,
             MemoClaim::Leader(_) => panic!("key is not memoised"),
         }
     }
@@ -441,13 +504,16 @@ mod tests {
         let key = AnswerMemo::key("r", &[]);
         settle_with(&memo, &key, pages.clone());
         match memo.claim(&key) {
-            MemoClaim::Hit(rel, deps) => {
+            MemoClaim::Hit(rel, Provenance::Pages(deps)) => {
                 assert_eq!(rel, one_row());
-                assert_eq!(deps.as_deref(), Some(&pages[..]));
+                assert_eq!(&deps[..], &pages[..]);
                 // Two hits share one deps list.
-                let MemoClaim::Hit(_, again) = memo.claim(&key) else { panic!("settled") };
-                assert!(Arc::ptr_eq(&deps.expect("deps"), &again.expect("deps")));
+                let MemoClaim::Hit(_, Provenance::Pages(again)) = memo.claim(&key) else {
+                    panic!("settled with pages")
+                };
+                assert!(Arc::ptr_eq(&deps, &again));
             }
+            MemoClaim::Hit(..) => panic!("settled with pages"),
             MemoClaim::Leader(_) => panic!("settled key must hit"),
         }
         // An answer inserted without deps hits with unknown provenance.
@@ -494,6 +560,58 @@ mod tests {
     }
 
     #[test]
+    fn an_invocation_list_is_evicted_through_any_of_its_pages() {
+        use webbase_webworld::prelude::Url;
+        let memo = AnswerMemo::new();
+        let page_a = Request::get(Url::new("a.test", "/1"));
+        let page_b = Request::get(Url::new("b.test", "/1"));
+        let call =
+            |rel: &str, deps: Vec<Request>| (Arc::new(AnswerMemo::key(rel, &[])), deps.into());
+        let settle = |key: &MemoKey, calls: Vec<Invocation>| match memo.claim(key) {
+            MemoClaim::Leader(guard) => {
+                guard.settle(Some(one_row()), Provenance::Invocations(calls.into()));
+            }
+            MemoClaim::Hit(..) => panic!("key settled twice"),
+        };
+        let joined = AnswerMemo::key("joined", &[]);
+        let partly_unknown = AnswerMemo::key("partly_unknown", &[]);
+        settle(&joined, vec![call("r_a", vec![page_a.clone()]), call("r_b", vec![page_b.clone()])]);
+        settle(&partly_unknown, vec![call("r_a", vec![page_a.clone()]), call("r_c", Vec::new())]);
+        // A hit hands back the invocation list it was settled with.
+        match memo.claim(&joined) {
+            MemoClaim::Hit(_, Provenance::Invocations(calls)) => {
+                let rels: Vec<&str> = calls.iter().map(|(k, _)| k.0.as_str()).collect();
+                assert_eq!(rels, ["r_a", "r_b"]);
+            }
+            other => panic!("settled with invocations: {other:?}"),
+        }
+        // Drift on a page no invocation read still evicts the entry
+        // with an invocation of unknown provenance, and only that one.
+        let elsewhere = Request::get(Url::new("c.test", "/1"));
+        assert_eq!(memo.invalidate_dependents(&[elsewhere]), vec![partly_unknown]);
+        // Drift on a page the second invocation read evicts the list.
+        assert_eq!(memo.invalidate_host("b.test"), vec![joined]);
+        assert!(memo.is_empty());
+    }
+
+    #[test]
+    fn a_leader_that_straddles_an_invalidation_publishes_nothing() {
+        use webbase_webworld::prelude::Url;
+        let memo = AnswerMemo::new();
+        let key = AnswerMemo::key("r", &[]);
+        let page = Request::get(Url::new("a.test", "/1"));
+        let MemoClaim::Leader(guard) = memo.claim(&key) else { panic!("empty memo cannot hit") };
+        // Drift lands while the leader computes: its answer may have
+        // read the replaced page, and the eviction has already run.
+        memo.invalidate_dependents(std::slice::from_ref(&page));
+        guard.settle(Some(one_row()), Provenance::Pages(vec![page].into()));
+        assert!(memo.is_empty(), "an answer computed across a drift event was published");
+        // The next claimant leads and publishes normally.
+        settle_with(&memo, &key, Vec::new());
+        assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
     fn dropping_an_unsettled_leader_hands_leadership_to_a_waiter() {
         let memo = AnswerMemo::new();
         let key = AnswerMemo::key("r", &[]);
@@ -503,7 +621,7 @@ mod tests {
         };
         drop(leader); // failed computation: nothing published
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(None, None),
+            MemoClaim::Leader(guard) => guard.settle(None, Provenance::Unknown),
             MemoClaim::Hit(..) => panic!("nothing was published"),
         }
         assert!(memo.is_empty());

@@ -67,6 +67,7 @@ codes! {
     SIGNATURE_VIOLATION = ("E113", Error, "program", "attribute used against its signature arrow (=> vs =>>)");
     UNKNOWN_CLASS = ("E114", Error, "program", "membership query against an undeclared class");
     UNKNOWN_ATTRIBUTE = ("W012", Warning, "program", "attribute not declared for the object's class");
+    SCHEMA_CONFLICT = ("E115", Error, "program", "relation's data pages disagree on their schema (the map does not compile)");
     // ── Pass 3: cross-layer conformance ─────────────────────────────
     UNKNOWN_VPS_SOURCE = ("E121", Error, "cross", "logical definition references a relation missing from the VPS catalog");
     UNMAPPED_ATTRIBUTE = ("E122", Error, "cross", "logical schema attribute maps to no VPS catalog source");

@@ -6,10 +6,11 @@
 //! 1. **Map linting** ([`map_lint`]) — the recorded [`NavigationMap`]
 //!    is internally coherent: reachability, edge hygiene, mandatory
 //!    coverage, handle viability. Codes `W001`–`W005`, `E101`–`E104`.
-//! 2. **Program safety** ([`program`]) — the compiled Transaction
-//!    F-logic program is runnable: range restriction, resolvable calls,
-//!    live rules, and molecules conforming to the Figure 3 signatures.
-//!    Codes `W011`–`W012`, `E111`–`E114`.
+//! 2. **Program safety** ([`program`]) — the map compiles and the
+//!    compiled Transaction F-logic program is runnable: range
+//!    restriction, resolvable calls, live rules, and molecules
+//!    conforming to the Figure 3 signatures. Codes `W011`–`W012`,
+//!    `E111`–`E115`.
 //! 3. **Cross-layer conformance** ([`cross`]) — the logical schema, the
 //!    VPS catalog, and the UR's compatibility rules agree. Codes
 //!    `W021`, `E121`–`E124`.
@@ -40,7 +41,7 @@ pub use program::{check_compiled, check_program, ORACLE_BUILTINS};
 pub use semantic::{check_semantics, site_semantics, Bound, CostInterval, SiteSemantics};
 pub use signatures::{navigation_index, navigation_signatures};
 
-use webbase_navigation::compile::compile_map;
+use webbase_navigation::compile::{compile_map, CompileError};
 use webbase_navigation::map::NavigationMap;
 
 /// The complete per-site analysis: passes 1 (map lint), 2 (program
@@ -52,8 +53,15 @@ use webbase_navigation::map::NavigationMap;
 pub fn analyze_full(map: &NavigationMap) -> (Report, SiteSemantics) {
     let mut report = map_lint::check_map(map);
     if !report.has_errors() {
-        let compiled = compile_map(map);
-        report.merge(program::check_compiled(&map.site, &compiled));
+        match compile_map(map) {
+            Ok(compiled) => report.merge(program::check_compiled(&map.site, &compiled)),
+            Err(err @ CompileError::SchemaConflict { node, .. }) => report.push(Diagnostic::new(
+                diag::SCHEMA_CONFLICT,
+                &map.site,
+                format!("node {node}"),
+                err.to_string(),
+            )),
+        }
     }
     report.merge(semantic::check_semantics(map));
     (report, semantic::site_semantics(map))
@@ -226,7 +234,7 @@ mod tests {
 
     #[test]
     fn compiled_mini_map_program_is_safe() {
-        let compiled = webbase_navigation::compile::compile_map(&mini_map());
+        let compiled = webbase_navigation::compile::compile_map(&mini_map()).expect("compiles");
         let report = check_compiled("www.newsday.com", &compiled);
         assert!(report.is_clean(), "{}", report.render());
     }

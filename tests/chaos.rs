@@ -261,6 +261,12 @@ fn stats_snapshots_are_fieldwise_monotone_under_load() {
         assert!(b.memo_hits >= a.memo_hits, "memo_hits went backwards: {a:?} -> {b:?}");
         assert!(b.memo_misses >= a.memo_misses, "memo_misses went backwards: {a:?} -> {b:?}");
         assert!(b.memo_len >= a.memo_len, "memo_len went backwards: {a:?} -> {b:?}");
+        assert!(b.logical_hits >= a.logical_hits, "logical_hits went backwards: {a:?} -> {b:?}");
+        assert!(
+            b.logical_misses >= a.logical_misses,
+            "logical_misses went backwards: {a:?} -> {b:?}"
+        );
+        assert!(b.logical_len >= a.logical_len, "logical_len went backwards: {a:?} -> {b:?}");
         assert!(b.result_hits >= a.result_hits, "result_hits went backwards: {a:?} -> {b:?}");
         assert!(b.result_misses >= a.result_misses, "result_misses went backwards: {a:?} -> {b:?}");
         assert!(b.web_requests >= a.web_requests, "web_requests went backwards: {a:?} -> {b:?}");

@@ -15,7 +15,10 @@
 mod common;
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 use webbase::{Engine, LatencyModel, QueryOptions, Relation, SpanKind};
+use webbase_relational::eval::{AccessSpec, Evaluator, RelationProvider};
 
 use common::JAGUAR_QUERY;
 
@@ -187,4 +190,61 @@ fn identical_concurrent_queries_coalesce_without_changing_answers() {
     // its settled answer (waiting for the leader or arriving later).
     assert_eq!(stats.result_misses, 1, "one leader per distinct text: {stats:?}");
     assert_eq!(stats.result_hits, 7, "followers must share the leader's answer: {stats:?}");
+}
+
+#[test]
+fn a_herd_on_one_logical_invocation_evaluates_it_once() {
+    const HERD: usize = 6;
+    let engine = engine();
+    let spec = AccessSpec::new().with("make", "ford");
+    let (mut isolated, _) = engine.session(true);
+    let expected = isolated.fetch("classifieds", &spec).expect("isolated classifieds");
+    let def = isolated.relation("classifieds").expect("classifieds is defined").def.clone();
+    let evaluations = AtomicUsize::new(0);
+    let leading = AtomicBool::new(false);
+    let answers: Vec<Relation> = std::thread::scope(|scope| {
+        // The leader claims the invocation and holds it, evaluating the
+        // definition only once the rest of the herd waits on it.
+        let leader = scope.spawn(|| {
+            let (mut layer, _) = engine.session(false);
+            layer
+                .vps
+                .derived("classifieds", &spec, false, |vps| {
+                    evaluations.fetch_add(1, Ordering::SeqCst);
+                    leading.store(true, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while engine.stats().logical_coalesced < (HERD - 1) as u64
+                        && Instant::now() < deadline
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Evaluator::new(vps).eval(&def, &spec)
+                })
+                .expect("leader evaluates")
+        });
+        while !leading.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The followers take the ordinary logical-layer path.
+        let followers: Vec<_> = (1..HERD)
+            .map(|_| {
+                scope.spawn(|| {
+                    let (mut layer, _) = engine.session(false);
+                    layer.fetch("classifieds", &spec).expect("follower fetches")
+                })
+            })
+            .collect();
+        std::iter::once(leader)
+            .chain(followers)
+            .map(|worker| worker.join().expect("herd thread"))
+            .collect()
+    });
+    for (i, got) in answers.iter().enumerate() {
+        assert_eq!(got, &expected, "herd member {i} diverged from the isolated evaluation");
+    }
+    let stats = engine.stats();
+    assert_eq!(evaluations.load(Ordering::SeqCst), 1);
+    assert_eq!(stats.logical_misses, 1, "one evaluation for the whole herd: {stats:?}");
+    assert_eq!(stats.logical_coalesced, (HERD - 1) as u64, "the rest waited: {stats:?}");
+    assert_eq!(stats.logical_hits, (HERD - 1) as u64, "and then shared the answer: {stats:?}");
 }

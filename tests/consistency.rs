@@ -206,6 +206,40 @@ fn one_refresh_rebuilds_many_drifted_views_to_cold_equivalence() {
     assert_eq!(engine.stats().stale_served, 0, "stale answer served");
 }
 
+/// Texts that differ only in UR-level predicates (year floor, price
+/// bound) make the same logical invocations, so they share every
+/// logical-memo entry. Drift on the NYTimes pages they all read must
+/// still reach each view: after the refresh every maintained view
+/// equals a cold re-run.
+#[test]
+fn views_sharing_every_logical_invocation_refresh_to_cold_equivalence() {
+    let (engine, clocks) = drifting_engine(&[(NYTIMES, vec![Mutation::new("$", "$1")])]);
+    let texts = [
+        "UsedCarUR(make='ford', model, year >= 1990, price)",
+        "UsedCarUR(make='ford', model, year >= 1994, price)",
+        "UsedCarUR(make='ford', model, year, price) WHERE price < 9000",
+        "UsedCarUR(make='ford', model, year >= 1992, price) WHERE price < 6000",
+    ];
+    let mut before = vec![served(&engine, texts[0])];
+    let first = engine.stats().logical_misses;
+    before.extend(texts[1..].iter().map(|text| served(&engine, text)));
+    let stats = engine.stats();
+    assert_eq!(stats.logical_misses, first, "the texts must share every logical invocation");
+    assert!(stats.logical_hits > 0, "{stats:?}");
+
+    clocks[NYTIMES].advance();
+    let report = engine.refresh(Some(NYTIMES), DriftOrigin::Maintenance, None, None);
+    assert!(report.sweep.changed > 0, "the price rewrite must be detected: {report:?}");
+    let mut visible = false;
+    for (text, old) in texts.iter().zip(&before) {
+        let answer = served(&engine, text);
+        assert_eq!(answer, oracle(&engine, text), "{text}: diverged from a cold re-run");
+        visible |= answer != *old;
+    }
+    assert!(visible, "the drift must be answer-visible");
+    assert_eq!(engine.stats().stale_served, 0, "stale answer served");
+}
+
 /// Concurrent tenants querying across a refresh never observe a torn
 /// generation: every answer equals the cold re-run at the old or the
 /// new generation — nothing in between, nothing stale.

@@ -150,7 +150,7 @@ fn relaxed_union_returns_partial_answers() {
     let mut shape = CatalogShape::new(FetchPolicy::default_policy());
     let (map, _) = Recorder::record(web.clone(), "www.newsday.com", &sessions::newsday(&data))
         .expect("records");
-    shape.add_map(web, map);
+    shape.add_map(web, map).expect("a recorded map compiles");
     let cat = VpsCatalog::over(Arc::new(shape), PageStore::new(), None);
     let layer = LogicalLayer::new(cat, paper_schema());
 

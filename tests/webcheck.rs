@@ -150,7 +150,7 @@ fn compiled_site_programs_conform() {
     // conforms to Figure 3 plus the executor supplements.
     let wb = healthy_webbase();
     for map in wb.maps() {
-        let compiled = webbase_navigation::compile::compile_map(map);
+        let compiled = webbase_navigation::compile::compile_map(map).expect("compiles");
         let report = webbase_webcheck::check_compiled(&map.site, &compiled);
         assert!(report.is_clean(), "{}:\n{}", map.site, report.render());
     }
