@@ -18,7 +18,7 @@ use crate::budget::{BudgetDenial, BudgetTracker, JournalEntry};
 use crate::cancel::{CancelToken, Interrupt};
 use crate::pool::HostPools;
 use crate::resilience::{CircuitState, DegradationReport, FetchPolicy, HostHealth};
-use crate::store::PageStore;
+use crate::store::{PageClaim, PageStore};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -512,18 +512,31 @@ impl Browser {
         // Cancellation precedes even the cache: once the client is
         // gone, every remaining navigation step is wasted work.
         self.check_cancel(&req.url.host.clone())?;
-        if self.caching {
-            if let Some(page) = self.store.get(&req) {
-                self.cache_hits += 1;
-                self.obs.count(Metric::CacheHits);
-                if self.obs.tracing() {
-                    let host = req.url.host.clone();
-                    self.obs_advance(&host);
-                    self.obs.sink.event(&host, SpanKind::CacheHit, req.url.to_string(), Vec::new());
+        // A miss leads the page's fetch until `lead` drops: other
+        // sessions missing it meanwhile wait for this fetch. Every
+        // return below drops it, interned page or not.
+        let lead = if self.caching {
+            match self.store.claim(&req) {
+                PageClaim::Hit(page) => {
+                    self.cache_hits += 1;
+                    self.obs.count(Metric::CacheHits);
+                    if self.obs.tracing() {
+                        let host = req.url.host.clone();
+                        self.obs_advance(&host);
+                        self.obs.sink.event(
+                            &host,
+                            SpanKind::CacheHit,
+                            req.url.to_string(),
+                            Vec::new(),
+                        );
+                    }
+                    return Ok(page);
                 }
-                return Ok(page);
+                PageClaim::Leader(guard) => Some(guard),
             }
-        }
+        } else {
+            None
+        };
         let host = req.url.host.clone();
 
         // Circuit-breaker gate: an open circuit fails fast (no network
@@ -661,6 +674,9 @@ impl Browser {
                 if resp.status == 440 {
                     // Stale CGI session token: replay from checkpointed
                     // inputs (the request minus the expired parameter).
+                    // The replay requests another page, so this claim is
+                    // released first: a page leader waits on nothing.
+                    drop(lead);
                     return self.recover_session(req, &resp);
                 }
                 if !resp.is_ok() {
@@ -1010,6 +1026,41 @@ mod tests {
 
     fn single_site_web(site: impl webbase_webworld::server::Site + 'static) -> SyntheticWeb {
         SyntheticWeb::builder().site(site).latency(LatencyModel::zero()).build()
+    }
+
+    /// A site that takes real time to answer, so concurrent sessions
+    /// all miss its page before the first fetch returns.
+    struct SlowSite;
+
+    impl webbase_webworld::server::Site for SlowSite {
+        fn host(&self) -> &str {
+            "slow.test"
+        }
+        fn handle(&self, _req: &Request) -> Response {
+            std::thread::sleep(Duration::from_millis(40));
+            Response::ok("<html><head><title>slow</title></head></html>".to_string())
+        }
+    }
+
+    #[test]
+    fn sessions_missing_one_cold_page_share_one_wire_fetch() {
+        let web = single_site_web(SlowSite);
+        let store = PageStore::new();
+        let sessions = 6;
+        let barrier = std::sync::Barrier::new(sessions);
+        std::thread::scope(|scope| {
+            for _ in 0..sessions {
+                let mut b =
+                    Browser::with_store(web.clone(), FetchPolicy::default_policy(), store.clone());
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    b.goto(Url::new("slow.test", "/")).expect("page");
+                });
+            }
+        });
+        assert_eq!(web.total_stats().requests, 1, "concurrent misses fetched the page twice");
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use persist::{map_from_facts, parse_map, parse_resume, render_facts, render_
 pub use pool::HostPools;
 pub use recorder::{DesignerAction, MapStats, RecordError, Recorder};
 pub use resilience::{CircuitState, DegradationReport, FetchPolicy, SiteDegradation};
-pub use store::PageStore;
+pub use store::{PageId, PageSet, PageStore, ReadSet};
 pub use wal::{WalRecovery, WriteAheadLog};
 pub use webbase_obs::{
     Metric, MetricsRegistry, MetricsSnapshot, Obs, QueryObservation, QueryTrace, Span, SpanKind,

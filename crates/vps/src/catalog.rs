@@ -19,7 +19,7 @@ use webbase_navigation::budget::{BudgetTracker, JournalEntry, NavPosition, Resum
 use webbase_navigation::executor::SiteNavigator;
 use webbase_navigation::map::NavigationMap;
 use webbase_navigation::pool::HostPools;
-use webbase_navigation::store::{PageStore, ReadSet};
+use webbase_navigation::store::{PageId, PageStore, ReadSet};
 use webbase_navigation::{
     compile_map, CancelToken, CompileError, CompiledSite, DegradationReport, FetchPolicy,
     RepairReport,
@@ -762,7 +762,7 @@ impl RelationProvider for VpsCatalog {
         // alike — either way the answer was computed from them). With no
         // read set attached they are unknown, and so is the memo
         // entry's provenance: any drift event evicts it.
-        let deps: Option<Arc<[Request]>> =
+        let deps: Option<Arc<[PageId]>> =
             self.reads.as_ref().map(|r| r.slice_from(read_mark).into());
         // Memoize only answers from a navigator that has never seen
         // degradation: a truncated or partially healed run must not be
@@ -1101,15 +1101,16 @@ mod tests {
         use webbase_navigation::{DriftBus, DriftEvent, DriftKind, DriftOrigin};
         let (shape, _, _) = fixture();
         let (memo, logical) = (AnswerMemo::new(), AnswerMemo::new());
-        let bus = DriftBus::new();
+        let (bus, store) = (DriftBus::new(), PageStore::new());
         for m in [memo.clone(), logical.clone()] {
+            let store = store.clone();
             bus.subscribe(move |event| {
-                m.invalidate_dependents(&event.requests);
+                m.invalidate_pages(&store.ids_of(&event.requests).into_iter().collect());
             });
         }
         // Memos attached, read set not: the pages each answer read are
         // unknown.
-        let mut cat = VpsCatalog::over(shape, PageStore::new(), None);
+        let mut cat = VpsCatalog::over(shape, store.clone(), None);
         cat.set_memos(memo.clone(), logical.clone());
         let spec = AccessSpec::new().with(FORD.0, FORD.1);
         cat.derived("ads", &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
