@@ -53,7 +53,6 @@ use webbase_navigation::{
     RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
 };
 use webbase_obs::sync::{fan_out, SafeMutex, SafeRwLock};
-use webbase_relational::eval::{AccessSpec, Evaluator};
 use webbase_relational::{BaseDelta, Expr, Incremental, Relation};
 use webbase_ur::plan::{PlanIndex, UrError, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
@@ -604,6 +603,14 @@ struct EngineInner {
     freshness: SafeMutex<Freshness>,
 }
 
+/// What [`Engine::fresh_hit`] found in the result cache.
+enum Cached {
+    Fresh(Relation),
+    /// Resident but refused: its deps drifted after publication.
+    Stale,
+    Absent,
+}
+
 /// The shared multi-query engine. Clone-cheap (`Arc` inside); every
 /// clone serves the same webbase.
 #[derive(Clone)]
@@ -1004,30 +1011,42 @@ impl Engine {
         let eligible =
             !isolated && !options.trace && options.budget.is_none() && options.resume.is_none();
         let result_lead = if eligible {
-            match inner.results.claim(&AnswerMemo::key(text, &[])) {
-                MemoClaim::Hit(..) => {
-                    // A drift event may have invalidated the entry
-                    // between the claim and this point; serve the
-                    // *current* cache value, vetted by the freshness
-                    // ledger under its lock — never the claimed copy.
-                    // A `None` drops through to an ordinary recompute.
-                    if let Some(relation) = self.fresh_hit(text) {
-                        // The leader populated the plan cache before it
-                        // executed, so a hit always finds the clean plan.
-                        let plan = inner.plans.read().get(text).map(|entry| entry.1.clone());
-                        if let Some(plan) = plan {
-                            return Ok(QueryOutcome {
-                                relation,
-                                plan,
-                                observation: None,
-                                metrics: MetricsSnapshot::default(),
-                            });
-                        }
-                    }
-                    None
+            // A fresh cached answer is served by one read of the answer
+            // map, under the ledger lock; only a miss claims the key. A
+            // hit the claim finds (an answer settled meanwhile, or one
+            // drift just evicted) is vetted once more under the lock —
+            // never served from the claimed copy — and a `None` drops
+            // through to an ordinary recompute.
+            let key = AnswerMemo::key(text, &[]);
+            let (served, lead) = match self.fresh_hit(&key, text, true) {
+                Cached::Fresh(relation) => (Some(relation), None),
+                Cached::Stale => (None, None),
+                Cached::Absent => match inner.results.claim(&key) {
+                    MemoClaim::Hit(..) => match self.fresh_hit(&key, text, false) {
+                        Cached::Fresh(relation) => (Some(relation), None),
+                        Cached::Stale | Cached::Absent => (None, None),
+                    },
+                    MemoClaim::Leader(guard) => (None, Some(guard)),
+                },
+            };
+            if let Some(relation) = served {
+                // The leader populated the plan cache before it
+                // executed, so a hit always finds the clean plan: the
+                // one this run already read, unless it ran first.
+                let plan = match &cached {
+                    Some(entry) => Some(entry.1.clone()),
+                    None => inner.plans.read().get(text).map(|entry| entry.1.clone()),
+                };
+                if let Some(plan) = plan {
+                    return Ok(QueryOutcome {
+                        relation,
+                        plan,
+                        observation: None,
+                        metrics: MetricsSnapshot::default(),
+                    });
                 }
-                MemoClaim::Leader(guard) => Some(guard),
             }
+            lead
         } else {
             None
         };
@@ -1158,22 +1177,28 @@ impl Engine {
     }
 
     /// Serve-side of the freshness contract: the result-cache value for
-    /// `text`, but only if the ledger agrees it is current. `None`
-    /// sends the caller down the recompute path — a drift event landed
-    /// between the cache claim and now. `stale_served` is the tripwire
+    /// `text` (under `key`), but only if the ledger agrees it is
+    /// current. `Absent` sends the caller to the claim: nothing is
+    /// cached, or drift evicted the view and marked it for a rebuild.
+    /// `Stale` sends it down the recompute path. `count` counts a
+    /// resident entry as a result-cache hit, for a read the claim did
+    /// not already count. `stale_served` is the tripwire
     /// for values that *would* have gone out stale: a resident entry
     /// whose recorded deps drifted after publication without the view
     /// being marked. The eviction protocol (evict + mark under this
     /// same lock, synchronously with the event) makes that impossible,
     /// which is exactly what the consistency suites pin by asserting
     /// the counter stays zero.
-    fn fresh_hit(&self, text: &str) -> Option<Relation> {
+    fn fresh_hit(&self, key: &MemoKey, text: &str, count: bool) -> Cached {
         let inner = &self.inner;
         let ledger = inner.freshness.lock();
         if ledger.drifted.contains(text) {
-            return None;
+            return Cached::Absent;
         }
-        let relation = inner.results.peek(&AnswerMemo::key(text, &[]))?;
+        let Some(relation) = inner.results.peek(key) else { return Cached::Absent };
+        if count {
+            inner.results.count_hit();
+        }
         if let Some(record) = ledger.views.get(text) {
             // No stamp exceeds the current epoch, so a view published at
             // it has nothing to check.
@@ -1182,10 +1207,10 @@ impl Engine {
                     || record.deps.iter().any(|&d| ledger.page_drifted(d, record.epoch)));
             if stale {
                 inner.drift_metrics.inc(Metric::StaleServed);
-                return None; // refuse even here: recompute beats serving stale
+                return Cached::Stale; // refuse even here: recompute beats serving stale
             }
         }
-        Some(relation)
+        Cached::Fresh(relation)
     }
 
     /// Fold a plan over the shape: the VPS relations each plan object
@@ -1427,7 +1452,7 @@ impl Engine {
                 .invocations
                 .iter()
                 .filter(|(_, deps)| deps.is_empty() || deps.iter().any(drifted))
-                .map(|(key, _)| key.0.as_str())
+                .map(|(key, _)| &*key.0)
                 .collect();
             let affected: Vec<usize> = (0..objects)
                 .filter(|&i| r.object_rels[i].iter().any(|n| affected_rels.contains(n.as_str())))
@@ -1512,7 +1537,7 @@ impl Engine {
         let (mut layer, reads) = self.rebuild_session(cancel);
         let mut new_objects = old_objects.to_vec();
         for &i in affected {
-            match Evaluator::new(&mut layer).eval(&plan.objects[i].expr, &AccessSpec::new()) {
+            match plan.objects[i].eval(&mut layer) {
                 Ok(rel) => new_objects[i] = rel,
                 Err(_) => return None,
             }
@@ -1881,6 +1906,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::Webbase;
+    use webbase_relational::eval::CompiledExpr;
     use webbase_webworld::request::Request;
 
     const JAGUAR: &str = "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
@@ -2367,6 +2393,42 @@ mod tests {
         let served = engine.query("t2", FORD, QueryOptions::default()).expect("runs").relation;
         assert_eq!(served, expected, "maintained view diverged from a cold re-run");
         assert_eq!(engine.web().total_stats().requests, wire, "a refreshed view re-fetched");
+        assert_eq!(engine.stats().stale_served, 0);
+    }
+
+    #[test]
+    fn a_refresh_rebuilds_views_from_their_cached_compiled_plans() {
+        // FORD refreshes by rung 1 (some objects), JAGUAR by rung 2 (the
+        // whole plan); either way the view is rebuilt from the plan
+        // cache's entry and the compiled objects its first run derived.
+        let (engine, clock) = mutating_engine(NYTIMES, vec![Mutation::new("$", "$1")]);
+        let texts = [FORD, JAGUAR];
+        let compiled = |text: &str| {
+            let entry = engine.inner.plans.read().get(text).cloned().expect("planned");
+            let objects: Vec<Arc<CompiledExpr>> = entry
+                .1
+                .objects
+                .iter()
+                .map(|o| o.compiled().expect("an executed object is compiled").clone())
+                .collect();
+            (entry, objects)
+        };
+        for text in texts {
+            engine.query("t", text, QueryOptions::default()).expect("runs");
+        }
+        let before: Vec<_> = texts.iter().map(|t| compiled(t)).collect();
+        clock.advance();
+        let report = engine.refresh(Some(NYTIMES), DriftOrigin::Maintenance, None, None);
+        assert_eq!(report.delta_refreshed + report.cold_refreshed, 2, "{report:?}");
+        for (text, (entry, objects)) in texts.iter().zip(before) {
+            let (now, now_objects) = compiled(text);
+            assert!(Arc::ptr_eq(&entry, &now), "{text}: the refresh replaced the plan");
+            for (was, is) in objects.iter().zip(&now_objects) {
+                assert!(Arc::ptr_eq(was, is), "{text}: the refresh compiled an object again");
+            }
+            let served = engine.query("t", text, QueryOptions::default()).expect("runs").relation;
+            assert_eq!(served, oracle(&engine, text), "{text}: refreshed view diverged");
+        }
         assert_eq!(engine.stats().stale_served, 0);
     }
 

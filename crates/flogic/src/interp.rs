@@ -106,16 +106,25 @@ impl<'p, O: Oracle> Machine<'p, O> {
         goal: &Goal,
         vars: &[(String, Var)],
     ) -> Result<Vec<Solution>, EngineError> {
-        let mut solutions = Vec::new();
+        let ids: Vec<Var> = vars.iter().map(|(_, v)| *v).collect();
+        let rows = self.solve_rows(goal, &ids)?;
+        Ok(rows
+            .into_iter()
+            .map(|row| vars.iter().map(|(n, _)| n.clone()).zip(row).collect())
+            .collect())
+    }
+
+    /// Enumerate every solution of `goal` as the resolved values of
+    /// `vars`, in `vars` order.
+    pub fn solve_rows(&mut self, goal: &Goal, vars: &[Var]) -> Result<Vec<Vec<Term>>, EngineError> {
+        let mut rows = Vec::new();
         let mut bindings = Bindings::new();
         let next_var = goal.var_ceiling();
         self.solve(goal, &mut bindings, next_var, 0, &mut |_m, b, _nv| {
-            let sol: Solution =
-                vars.iter().map(|(n, v)| (n.clone(), b.resolve(&Term::Var(*v)))).collect();
-            solutions.push(sol);
+            rows.push(vars.iter().map(|v| b.resolve(&Term::Var(*v))).collect());
             Ok(Flow::Continue)
         })?;
-        Ok(solutions)
+        Ok(rows)
     }
 
     /// Execute `goal` once; returns whether a successful execution path
@@ -410,20 +419,19 @@ impl<'p, O: Oracle> Machine<'p, O> {
     ) -> SolveResult {
         self.spend_fuel()?;
         let arity = args.len();
-        if self.program.is_defined(pred, arity) {
-            // Clone the rule list handle to appease the borrow checker; the
-            // rules themselves are cheap Rc-free clones only when matched.
-            let rules: Vec<_> = self.program.lookup(pred, arity).to_vec();
-            for rule in &rules {
+        // The program outlives this machine's borrow of itself, so its
+        // rules are borrowed across the recursive solves below.
+        let program: &'p Program = self.program;
+        if program.is_defined(pred, arity) {
+            for rule in program.lookup(pred, arity) {
                 let bm = bnd.mark();
                 let sm = self.store.mark();
-                let fresh_head: Vec<Term> = args.to_vec();
                 let offset = next_var;
                 let rule_ceiling = rule.var_ceiling();
                 let renamed_args: Vec<Term> =
                     rule.head_args.iter().map(|t| t.offset_vars(offset)).collect();
                 let mut ok = true;
-                for (call_arg, head_arg) in fresh_head.iter().zip(&renamed_args) {
+                for (call_arg, head_arg) in args.iter().zip(&renamed_args) {
                     if !bnd.unify(call_arg, head_arg) {
                         ok = false;
                         break;
@@ -510,7 +518,7 @@ fn compare(op: CmpOp, a: &Term, b: &Term) -> Result<bool, EngineError> {
             x.partial_cmp(&(*y as f64)).ok_or_else(|| EngineError::BadComparison("NaN".into()))?
         }
         (Term::Str(x), Term::Str(y)) => x.cmp(y),
-        (Term::Atom(x), Term::Atom(y)) => x.name().cmp(&y.name()),
+        (Term::Atom(x), Term::Atom(y)) => x.as_str().cmp(y.as_str()),
         _ => return Err(EngineError::BadComparison(format!("{a:?} {} {b:?}", op.symbol()))),
     };
     Ok(match op {

@@ -13,9 +13,11 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(u32);
 
+/// Interned names live for the rest of the process (the table never
+/// shrinks), so they are leaked once and handed out as `&'static str`.
 struct Interner {
-    map: HashMap<String, Sym>,
-    names: Vec<String>,
+    map: HashMap<&'static str, Sym>,
+    names: Vec<&'static str>,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -37,20 +39,26 @@ impl Sym {
             return s;
         }
         let s = Sym(int.names.len() as u32);
-        int.names.push(name.to_string());
-        int.map.insert(name.to_string(), s);
+        let name: &'static str = Box::leak(name.into());
+        int.names.push(name);
+        int.map.insert(name, s);
         s
     }
 
-    /// The interned string for this symbol.
+    /// The interned string for this symbol, borrowed.
+    pub fn as_str(self) -> &'static str {
+        interner().read().names[self.0 as usize]
+    }
+
+    /// The interned string for this symbol, copied.
     pub fn name(self) -> String {
-        interner().read().names[self.0 as usize].clone()
+        self.as_str().to_string()
     }
 }
 
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.as_str())
     }
 }
 

@@ -6,6 +6,7 @@
 //! of bindings made in the branch), not O(total bindings).
 
 use crate::term::{Term, Var};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A substitution with an undo trail.
@@ -96,15 +97,17 @@ impl Bindings {
     }
 
     fn unify_inner(&mut self, a: &Term, b: &Term) -> bool {
-        let wa = self.walk(a).clone();
-        let wb = self.walk(b).clone();
-        match (wa, wb) {
+        // A term reached through a binding is copied out of the map, so
+        // the map can grow below; the caller's own terms are borrowed.
+        let wa = self.walk_out(a);
+        let wb = self.walk_out(b);
+        match (&*wa, &*wb) {
             (Term::Var(x), Term::Var(y)) if x == y => true,
             (Term::Var(x), t) | (t, Term::Var(x)) => {
-                if self.occurs(x, &t) {
+                if self.occurs(*x, t) {
                     false // occurs check keeps navigation terms finite
                 } else {
-                    self.bind(x, t);
+                    self.bind(*x, t.clone());
                     true
                 }
             }
@@ -115,9 +118,20 @@ impl Bindings {
             (Term::Compound(f, xs), Term::Compound(g, ys)) => {
                 f == g
                     && xs.len() == ys.len()
-                    && xs.iter().zip(&ys).all(|(x, y)| self.unify_inner(x, y))
+                    && xs.iter().zip(ys).all(|(x, y)| self.unify_inner(x, y))
             }
             _ => false,
+        }
+    }
+
+    /// [`Bindings::walk`], borrowing `t` itself when it is not a bound
+    /// variable.
+    fn walk_out<'t>(&self, t: &'t Term) -> Cow<'t, Term> {
+        let w = self.walk(t);
+        if std::ptr::eq(w, t) {
+            Cow::Borrowed(t)
+        } else {
+            Cow::Owned(w.clone())
         }
     }
 }

@@ -267,10 +267,7 @@ pub fn tables(doc: &Document) -> Vec<Table> {
     let mut out = Vec::new();
     for t in doc.elements_by_tag("table") {
         // Skip nested tables' rows when extracting an outer table.
-        let rows_ids: Vec<NodeId> = doc
-            .elements_by_tag("tr")
-            .filter(|&r| doc.ancestor_by_tag(r, "table") == Some(t))
-            .collect();
+        let rows_ids: Vec<NodeId> = table_rows(doc, t).collect();
         if rows_ids.is_empty() {
             continue;
         }
@@ -278,17 +275,9 @@ pub fn tables(doc: &Document) -> Vec<Table> {
         let mut rows = Vec::new();
         let mut links = Vec::new();
         for (i, &r) in rows_ids.iter().enumerate() {
-            let cells: Vec<NodeId> = doc
-                .node(r)
-                .children
-                .iter()
-                .copied()
-                .filter(|&c| matches!(doc.tag(c), Some("td") | Some("th")))
-                .collect();
-            let is_header_row =
-                i == 0 && cells.iter().all(|&c| doc.tag(c) == Some("th")) && !cells.is_empty();
+            let cells = row_cells(doc, r);
             let texts: Vec<String> = cells.iter().map(|&c| doc.text_content(c)).collect();
-            if is_header_row {
+            if i == 0 && is_header_row(doc, &cells) {
                 header = texts;
             } else {
                 let cell_links: Vec<Option<String>> = cells
@@ -307,6 +296,43 @@ pub fn tables(doc: &Document) -> Vec<Table> {
         out.push(Table { header, rows, links });
     }
     out
+}
+
+/// The `header` of every table [`tables`] extracts, in the same order,
+/// without extracting any row: what recognising a data page needs.
+pub fn table_headers(doc: &Document) -> Vec<Vec<String>> {
+    let mut out = Vec::new();
+    for t in doc.elements_by_tag("table") {
+        let Some(first) = table_rows(doc, t).next() else { continue };
+        let cells = row_cells(doc, first);
+        out.push(if is_header_row(doc, &cells) {
+            cells.iter().map(|&c| doc.text_content(c)).collect()
+        } else {
+            Vec::new()
+        });
+    }
+    out
+}
+
+/// The rows of table `t`, in document order, not those of tables
+/// nested in it.
+fn table_rows(doc: &Document, t: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    doc.elements_by_tag("tr").filter(move |&r| doc.ancestor_by_tag(r, "table") == Some(t))
+}
+
+/// The `<td>`/`<th>` cells of row `r`.
+fn row_cells(doc: &Document, r: NodeId) -> Vec<NodeId> {
+    doc.node(r)
+        .children
+        .iter()
+        .copied()
+        .filter(|&c| matches!(doc.tag(c), Some("td") | Some("th")))
+        .collect()
+}
+
+/// A first row of only `<th>` cells is the header.
+fn is_header_row(doc: &Document, cells: &[NodeId]) -> bool {
+    !cells.is_empty() && cells.iter().all(|&c| doc.tag(c) == Some("th"))
 }
 
 #[cfg(test)]

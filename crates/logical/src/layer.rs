@@ -11,19 +11,51 @@
 
 use crate::schema::LogicalRelation;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use webbase_relational::binding::{propagate, BindingSet};
-use webbase_relational::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
-use webbase_relational::{Relation, Schema};
-use webbase_vps::{SpanKind, VpsCatalog, QUERY_TRACK};
+use webbase_relational::eval::{AccessSpec, CompiledExpr, EvalError, Evaluator, RelationProvider};
+use webbase_relational::{Expr, Relation, Schema};
+use webbase_vps::{CatalogShape, SpanKind, VpsCatalog, QUERY_TRACK};
 
 /// Logical relation definitions in declaration order, indexed by name.
 /// Built once per corpus and shared behind an `Arc` by every layer over
 /// it. On duplicate names the first definition wins.
-#[derive(Debug, Default)]
+///
+/// Each definition's static analysis — its schema, its §5 bindings and
+/// its compiled form under each union rule — is derived on first use
+/// and kept for the lifetime of the definitions, so every later
+/// session, plan and refresh over them reuses it. It holds for the VPS
+/// shape of the first layer that asked; a layer over another shape
+/// derives its own on every call.
+#[derive(Default)]
 pub struct LogicalDefs {
     relations: Vec<LogicalRelation>,
     by_name: HashMap<String, usize>,
+    shape: OnceLock<Arc<CatalogShape>>,
+    analyses: Vec<Analysis>,
+}
+
+/// The lazily derived static analysis of one definition.
+#[derive(Debug, Default)]
+struct Analysis {
+    schema: OnceLock<Option<Schema>>,
+    /// Indexed by the relaxed-union flag.
+    compiled: [OnceLock<Arc<Compiled>>; 2],
+}
+
+/// One definition compiled under one union rule.
+#[derive(Debug)]
+struct Compiled {
+    bindings: BindingSet,
+    expr: CompiledExpr,
+    /// The definition's name, as the logical memo keys it.
+    name: Arc<str>,
+}
+
+impl std::fmt::Debug for LogicalDefs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogicalDefs").field("relations", &self.relations).finish_non_exhaustive()
+    }
 }
 
 impl LogicalDefs {
@@ -32,7 +64,8 @@ impl LogicalDefs {
         for (i, r) in relations.iter().enumerate() {
             by_name.entry(r.name.clone()).or_insert(i);
         }
-        LogicalDefs { relations, by_name }
+        let analyses = relations.iter().map(|_| Analysis::default()).collect();
+        LogicalDefs { relations, by_name, shape: OnceLock::new(), analyses }
     }
 
     pub fn relations(&self) -> &[LogicalRelation] {
@@ -88,17 +121,47 @@ impl LogicalLayer {
         }
         out
     }
+
+    /// The cached analysis of definition `name`, when the definitions'
+    /// cache holds for this layer's shape.
+    fn analysis(&self, name: &str) -> Option<(&Expr, Option<&Analysis>)> {
+        let &i = self.defs.by_name.get(name)?;
+        let shape = self.defs.shape.get_or_init(|| self.vps.shape().clone());
+        let cached = Arc::ptr_eq(shape, self.vps.shape()).then(|| &self.defs.analyses[i]);
+        Some((&self.defs.relations[i].def, cached))
+    }
+
+    /// Definition `name` compiled under this layer's union rule.
+    fn compiled(&self, name: &str) -> Option<Arc<Compiled>> {
+        let (def, cached) = self.analysis(name)?;
+        let compile = || {
+            let vps = &self.vps;
+            let relaxed = self.relaxed_union;
+            Arc::new(Compiled {
+                bindings: propagate(def, &|n| vps.bindings(n), &|n| vps.schema(n), relaxed),
+                expr: CompiledExpr::new(def, vps, relaxed),
+                name: name.into(),
+            })
+        };
+        Some(match cached {
+            Some(a) => a.compiled[usize::from(self.relaxed_union)].get_or_init(compile).clone(),
+            None => compile(),
+        })
+    }
 }
 
 impl RelationProvider for LogicalLayer {
     fn schema(&self, name: &str) -> Option<Schema> {
-        let def = &self.relation(name)?.def;
-        def.schema(&|n| self.vps.schema(n))
+        let (def, cached) = self.analysis(name)?;
+        let derive = || def.schema(&|n| self.vps.schema(n));
+        match cached {
+            Some(a) => a.schema.get_or_init(derive).clone(),
+            None => derive(),
+        }
     }
 
     fn bindings(&self, name: &str) -> Option<BindingSet> {
-        let def = &self.relation(name)?.def;
-        Some(propagate(def, &|n| self.vps.bindings(n), &|n| self.vps.schema(n), self.relaxed_union))
+        Some(self.compiled(name)?.bindings.clone())
     }
 
     fn fetch(&mut self, name: &str, spec: &AccessSpec) -> Result<Relation, EvalError> {
@@ -106,11 +169,12 @@ impl RelationProvider for LogicalLayer {
         // the evaluator takes the VPS mutably.
         let defs = self.defs.clone();
         let def = &defs.get(name).ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?.def;
+        let compiled = self.compiled(name).expect("a defined relation compiles");
         let relaxed = self.relaxed_union;
         // In a shared engine session an invocation another query already
         // evaluated is answered from the logical memo; the definition
         // runs only on a miss (and always in an isolated session).
-        self.vps.derived(name, spec, relaxed, |vps| {
+        self.vps.derived(&compiled.name, spec, relaxed, |vps| {
             let obs = vps.obs().clone();
             let span = if obs.tracing() {
                 obs.sink.begin(
@@ -122,7 +186,11 @@ impl RelationProvider for LogicalLayer {
             } else {
                 webbase_vps::SpanHandle::INERT
             };
-            let out = Evaluator::new(vps).with_relaxed_union(relaxed).eval(def, spec);
+            let out = Evaluator::new(vps).with_relaxed_union(relaxed).eval_compiled(
+                def,
+                &compiled.expr,
+                spec,
+            );
             if obs.tracing() {
                 obs.sink.advance(QUERY_TRACK, vps.stats.total_network());
                 match &out {

@@ -344,6 +344,12 @@ impl Browser {
 
     /// What every site endured in this session, with the breaker's
     /// current state folded in.
+    /// Whether [`Browser::degradation`] would report clean, without
+    /// building the report (the breaker flags it adds degrade nothing).
+    pub fn is_clean(&self) -> bool {
+        self.degradation.is_clean()
+    }
+
     pub fn degradation(&self) -> DegradationReport {
         let mut report = self.degradation.clone();
         for (host, h) in &self.health {

@@ -34,7 +34,7 @@ use crate::resilience::{DegradationReport, FetchPolicy};
 use crate::store::PageStore;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use webbase_flogic::oracle::{Oracle, OracleOutcome};
 use webbase_flogic::store::ObjectStore;
@@ -52,10 +52,76 @@ enum ConcreteAction {
     Submit { page: usize, cgi: String },
 }
 
+/// The symbols the bridge dispatches on and asserts, interned once per
+/// process instead of once per call.
+struct Syms {
+    fetch_entry: Sym,
+    goto_url: Sym,
+    doit: Sym,
+    doit_value: Sym,
+    collect: Sym,
+    web_page: Sym,
+    data_page: Sym,
+    address: Sym,
+    title: Sym,
+    link_follow: Sym,
+    form_submit: Sym,
+    name: Sym,
+    cgi: Sym,
+    source: Sym,
+    actions: Sym,
+    t: Sym,
+    pair: Sym,
+}
+
+fn syms() -> &'static Syms {
+    static SYMS: OnceLock<Syms> = OnceLock::new();
+    SYMS.get_or_init(|| Syms {
+        fetch_entry: Sym::new("fetch_entry"),
+        goto_url: Sym::new("goto_url"),
+        doit: Sym::new("doit"),
+        doit_value: Sym::new("doit_value"),
+        collect: Sym::new("collect"),
+        web_page: Sym::new("web_page"),
+        data_page: Sym::new("data_page"),
+        address: Sym::new("address"),
+        title: Sym::new("title"),
+        link_follow: Sym::new("link_follow"),
+        form_submit: Sym::new("form_submit"),
+        name: Sym::new("name"),
+        cgi: Sym::new("cgi"),
+        source: Sym::new("source"),
+        actions: Sym::new("actions"),
+        t: Sym::new("t"),
+        pair: Sym::new("pair"),
+    })
+}
+
+/// One molecule of a page's F-logic objects.
+#[derive(Debug)]
+enum Fact {
+    Isa(Term, Sym),
+    Scalar(Term, Sym, Term),
+    SetVal(Term, Sym, Term),
+}
+
+/// A page as the interpreter sees it. Pages are immutable and a
+/// navigator's extraction specs are fixed, so the oid, the molecules
+/// (resolved link addresses, action objects, the data-page class) are
+/// built on the page's first sight and re-asserted, as they are, into
+/// every later run's fresh store.
+struct InternedPage {
+    page: Arc<LoadedPage>,
+    oid: Term,
+    facts: Vec<Fact>,
+}
+
 /// The oracle: browser + page/action registries + extraction specs.
 pub struct NavOracle {
     browser: Browser,
-    pages: Vec<Arc<LoadedPage>>,
+    pages: Vec<InternedPage>,
+    /// Page oid → index into `pages`.
+    oids: HashMap<Sym, usize>,
     /// Loaded-page identity → page index (so backtracked re-executions
     /// reuse oids). Keyed by the page's canonical *request*: distinct
     /// requests — including POSTs to one URL with different form
@@ -95,6 +161,7 @@ impl NavOracle {
         NavOracle {
             browser,
             pages: Vec::new(),
+            oids: HashMap::new(),
             page_ids: HashMap::new(),
             actions: HashMap::new(),
             specs: HashMap::new(),
@@ -228,6 +295,12 @@ impl NavOracle {
         self.browser.degradation()
     }
 
+    /// Whether [`NavOracle::degradation`] would report clean, without
+    /// building the report.
+    pub fn is_clean(&self) -> bool {
+        self.browser.is_clean()
+    }
+
     /// Count an abandoned navigation branch when `err` is a server-side
     /// degradation (5xx, timeout, open circuit) rather than a
     /// navigation mistake.
@@ -254,31 +327,47 @@ impl NavOracle {
                 if let Some(p) = &mut self.probe {
                     p.inspect(&page.request, &page);
                 }
-                self.pages.push(page.clone());
+                let interned = self.page_facts(i, page);
+                self.oids.insert(term_sym(&interned.oid), i);
+                self.pages.push(interned);
                 i
             }
         };
-        let oid = Term::atom(&format!("pg{idx}"));
         // (Re-)assert the page's molecules. Idempotent inserts make
         // re-assertion after backtracking safe.
-        store.insert_isa(oid.clone(), Sym::new("web_page"));
-        if self.specs.values().any(|s| s.matches(&page.doc)) {
-            store.insert_isa(oid.clone(), Sym::new("data_page"));
+        let interned = &self.pages[idx];
+        for fact in &interned.facts {
+            match fact {
+                Fact::Isa(o, c) => store.insert_isa(o.clone(), *c),
+                Fact::Scalar(o, a, v) => store.insert_scalar(o.clone(), *a, v.clone()),
+                Fact::SetVal(o, a, v) => store.insert_setval(o.clone(), *a, v.clone()),
+            }
         }
-        store.insert_scalar(oid.clone(), Sym::new("address"), Term::str(page.url.to_string()));
-        store.insert_scalar(oid.clone(), Sym::new("title"), Term::str(page.title.clone()));
+        interned.oid.clone()
+    }
+
+    /// Build page `idx`'s oid and molecules, registering its actions.
+    fn page_facts(&mut self, idx: usize, page: Arc<LoadedPage>) -> InternedPage {
+        let s = syms();
+        let oid = Term::atom(&format!("pg{idx}"));
+        let mut facts = vec![Fact::Isa(oid.clone(), s.web_page)];
+        if self.specs.values().any(|spec| spec.matches(&page.doc)) {
+            facts.push(Fact::Isa(oid.clone(), s.data_page));
+        }
+        facts.push(Fact::Scalar(oid.clone(), s.address, Term::str(page.url.to_string())));
+        facts.push(Fact::Scalar(oid.clone(), s.title, Term::str(page.title.clone())));
         for (k, link) in page.links.iter().enumerate() {
             let a = Term::atom(&format!("act_pg{idx}_l{k}"));
-            store.insert_isa(a.clone(), Sym::new("link_follow"));
-            store.insert_scalar(a.clone(), Sym::new("name"), Term::atom(&link.text));
+            facts.push(Fact::Isa(a.clone(), s.link_follow));
+            facts.push(Fact::Scalar(a.clone(), s.name, Term::atom(&link.text)));
             // Absolute target address — what the paper's expression
             // `link(name -> 'Car Features', address -> Url)` unifies
             // against, and what the `@url` extraction pseudo-source
             // produces for the page itself.
             let address = page.url.resolve(&link.href).to_string();
-            store.insert_scalar(a.clone(), Sym::new("address"), Term::Str(address));
-            store.insert_scalar(a.clone(), Sym::new("source"), oid.clone());
-            store.insert_setval(oid.clone(), Sym::new("actions"), a.clone());
+            facts.push(Fact::Scalar(a.clone(), s.address, Term::Str(address)));
+            facts.push(Fact::Scalar(a.clone(), s.source, oid.clone()));
+            facts.push(Fact::SetVal(oid.clone(), s.actions, a.clone()));
             self.actions.insert(
                 term_sym(&a),
                 ConcreteAction::Follow {
@@ -290,23 +379,21 @@ impl NavOracle {
         }
         for (k, form) in page.forms.iter().enumerate() {
             let a = Term::atom(&format!("act_pg{idx}_f{k}"));
-            store.insert_isa(a.clone(), Sym::new("form_submit"));
-            store.insert_scalar(a.clone(), Sym::new("cgi"), Term::atom(&form.action));
-            store.insert_scalar(a.clone(), Sym::new("source"), oid.clone());
-            store.insert_setval(oid.clone(), Sym::new("actions"), a.clone());
+            facts.push(Fact::Isa(a.clone(), s.form_submit));
+            facts.push(Fact::Scalar(a.clone(), s.cgi, Term::atom(&form.action)));
+            facts.push(Fact::Scalar(a.clone(), s.source, oid.clone()));
+            facts.push(Fact::SetVal(oid.clone(), s.actions, a.clone()));
             self.actions.insert(
                 term_sym(&a),
                 ConcreteAction::Submit { page: idx, cgi: form.action.clone() },
             );
         }
-        oid
+        InternedPage { page, oid, facts }
     }
 
     fn page_of(&self, term: &Term) -> Option<Arc<LoadedPage>> {
         let Term::Atom(s) = term else { return None };
-        let name = s.name();
-        let idx: usize = name.strip_prefix("pg")?.parse().ok()?;
-        self.pages.get(idx).cloned()
+        self.oids.get(s).map(|&i| self.pages[i].page.clone())
     }
 
     fn builtin_fetch_entry(&mut self, args: &[Term], store: &mut ObjectStore) -> OracleOutcome {
@@ -380,7 +467,7 @@ impl NavOracle {
         // mid-parse.
         let check_host = match &concrete {
             ConcreteAction::Follow { page, .. } | ConcreteAction::Submit { page, .. } => {
-                self.pages[*page].url.host.clone()
+                self.pages[*page].page.url.host.clone()
             }
         };
         if let Err(e) = self.browser.budget_check(&check_host) {
@@ -389,7 +476,7 @@ impl NavOracle {
         }
         let (result, host) = match concrete {
             ConcreteAction::Follow { page, href, text } => {
-                let page = self.pages[page].clone();
+                let page = self.pages[page].page.clone();
                 let host = page.url.host.clone();
                 let span = self.nav_span(&host, || format!("follow '{text}'"));
                 let result = self.browser.follow_on(&page, &href);
@@ -397,7 +484,7 @@ impl NavOracle {
                 (result, host)
             }
             ConcreteAction::Submit { page, cgi } => {
-                let page = self.pages[page].clone();
+                let page = self.pages[page].page.clone();
                 let host = page.url.host.clone();
                 let values = params_to_values(&args[1]);
                 // Fail fast when a widget-inferred mandatory field is
@@ -438,7 +525,7 @@ impl NavOracle {
     fn builtin_doit_value(&mut self, args: &[Term], store: &mut ObjectStore) -> OracleOutcome {
         let Some(page) = self.page_of(&args[0]) else { return OracleOutcome::Fail };
         let Term::Atom(set_sym) = &args[1] else { return OracleOutcome::Fail };
-        let Some(choices) = self.value_link_sets.get(&set_sym.name()).cloned() else {
+        let Some(choices) = self.value_link_sets.get(set_sym.as_str()).cloned() else {
             return OracleOutcome::Fail;
         };
         // Bound value → one choice; unbound → enumerate them all. The
@@ -450,8 +537,8 @@ impl NavOracle {
                 choices.into_iter().filter(|(val, _)| val.eq_ignore_ascii_case(v)).collect()
             }
             Term::Atom(a) => {
-                let v = a.name();
-                choices.into_iter().filter(|(val, _)| val.eq_ignore_ascii_case(&v)).collect()
+                let v = a.as_str();
+                choices.into_iter().filter(|(val, _)| val.eq_ignore_ascii_case(v)).collect()
             }
             Term::Var(_) => choices,
             _ => return OracleOutcome::Fail,
@@ -503,7 +590,7 @@ impl NavOracle {
     fn builtin_collect(&mut self, args: &[Term]) -> OracleOutcome {
         let Some(page) = self.page_of(&args[0]) else { return OracleOutcome::Fail };
         let Term::Atom(spec_sym) = &args[1] else { return OracleOutcome::Fail };
-        let Some(spec) = self.specs.get(&spec_sym.name()) else {
+        let Some(spec) = self.specs.get(spec_sym.as_str()) else {
             return OracleOutcome::Fail;
         };
         let url = page.url.to_string();
@@ -516,7 +603,7 @@ impl NavOracle {
                     .iter()
                     .map(|a| value_to_term(rec.get(a).unwrap_or(&Value::Null)))
                     .collect();
-                vec![args[0].clone(), args[1].clone(), Term::Compound(Sym::new("t"), tuple_args)]
+                vec![args[0].clone(), args[1].clone(), Term::Compound(syms().t, tuple_args)]
             })
             .collect();
         let obs = self.browser.obs();
@@ -542,12 +629,13 @@ impl Oracle for NavOracle {
         store: &mut ObjectStore,
         _bindings: &Bindings,
     ) -> OracleOutcome {
-        match (pred.name().as_str(), args.len()) {
-            ("fetch_entry", 2) => self.builtin_fetch_entry(args, store),
-            ("goto_url", 2) => self.builtin_goto_url(args, store),
-            ("doit", 3) => self.builtin_doit(args, store),
-            ("doit_value", 4) => self.builtin_doit_value(args, store),
-            ("collect", 3) => self.builtin_collect(args),
+        let s = syms();
+        match args.len() {
+            2 if pred == s.fetch_entry => self.builtin_fetch_entry(args, store),
+            2 if pred == s.goto_url => self.builtin_goto_url(args, store),
+            3 if pred == s.doit => self.builtin_doit(args, store),
+            4 if pred == s.doit_value => self.builtin_doit_value(args, store),
+            3 if pred == s.collect => self.builtin_collect(args),
             _ => OracleOutcome::NotMine,
         }
     }
@@ -560,7 +648,7 @@ fn params_to_values(t: &Term) -> Vec<(String, String)> {
     pairs
         .iter()
         .filter_map(|p| match p {
-            Term::Compound(f, kv) if f.name() == "pair" && kv.len() == 2 => {
+            Term::Compound(f, kv) if *f == syms().pair && kv.len() == 2 => {
                 let name = match &kv[0] {
                     Term::Atom(a) => a.name(),
                     Term::Str(s) => s.clone(),
@@ -613,6 +701,14 @@ fn term_sym(t: &Term) -> Sym {
         Term::Atom(s) => *s,
         other => unreachable!("expected atom oid, got {other:?}"),
     }
+}
+
+/// The records of one navigation-program execution, as rows of values
+/// aligned with the relation's attributes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rows {
+    pub attrs: Vec<String>,
+    pub rows: Vec<Vec<Value>>,
 }
 
 /// Statistics of one navigation-program execution.
@@ -721,6 +817,12 @@ impl SiteNavigator {
     /// navigator (retries, timeouts, fast-fails, abandoned branches).
     pub fn degradation(&self) -> DegradationReport {
         self.oracle.lock().degradation()
+    }
+
+    /// Whether [`SiteNavigator::degradation`] would report clean,
+    /// without building the report.
+    pub fn is_clean(&self) -> bool {
+        self.oracle.lock().is_clean()
     }
 
     /// What self-healing did across every run of this navigator:
@@ -860,18 +962,36 @@ impl SiteNavigator {
     /// repair touched a constant baked into the program (a link name, a
     /// form CGI) — recompile the working map and replay the run once.
     /// The replay re-traverses mostly from the browser cache.
-    pub fn run_relation(
+    pub fn run_relation<K: AsRef<str>>(
         &self,
         relation: &str,
-        given: &[(String, Value)],
+        given: &[(K, Value)],
     ) -> Result<(Vec<crate::extractor::Record>, RunStats), NavError> {
+        let (rows, stats) = self.run_rows(relation, given)?;
+        let records = rows
+            .rows
+            .into_iter()
+            .map(|row| rows.attrs.iter().cloned().zip(row).collect())
+            .collect();
+        Ok((records, stats))
+    }
+
+    /// [`SiteNavigator::run_relation`] with each record as a row of
+    /// values aligned with [`Rows::attrs`], so no record repeats the
+    /// attribute names.
+    pub fn run_rows<K: AsRef<str>>(
+        &self,
+        relation: &str,
+        given: &[(K, Value)],
+    ) -> Result<(Rows, RunStats), NavError> {
         let mut oracle = self.oracle.lock();
         let (fetches0, hits0, retries0, net0) =
             (oracle.fetches(), oracle.cache_hits(), oracle.retries(), oracle.simulated_network());
         let obs = oracle.obs().clone();
         let span = if obs.tracing() {
             obs.sink.advance(&self.map.site, net0);
-            let given_str: Vec<String> = given.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let given_str: Vec<String> =
+                given.iter().map(|(k, v)| format!("{}={v}", k.as_ref())).collect();
             obs.sink.begin(
                 &self.map.site,
                 SpanKind::NavRun,
@@ -893,63 +1013,56 @@ impl SiteNavigator {
                 .find(|r| r.name == relation)
                 .ok_or_else(|| NavError::UnknownRelation(relation.to_string()))?;
 
-            // Build the goal rel(T1..Tn) with given values bound.
+            // Build the goal rel(T1..Tn) with given values bound; the
+            // other attributes are the variables solved for.
             use webbase_flogic::term::Var;
-            let args: Vec<Term> = rel
+            let bound: Vec<Option<&Value>> = rel
                 .attrs
                 .iter()
+                .map(|attr| given.iter().find(|(a, _)| a.as_ref() == attr).map(|(_, v)| v))
+                .collect();
+            let args: Vec<Term> = bound
+                .iter()
                 .enumerate()
-                .map(|(i, attr)| match given.iter().find(|(a, _)| a == attr) {
-                    Some((_, v)) => value_to_term(v),
-                    None => Term::Var(Var(i as u32)),
-                })
+                .map(|(i, v)| v.map_or(Term::Var(Var(i as u32)), value_to_term))
                 .collect();
             let goal = webbase_flogic::goal::Goal::Atom(Sym::new(relation), args);
+            let vars: Vec<Var> =
+                (0..bound.len()).filter(|&i| bound[i].is_none()).map(|i| Var(i as u32)).collect();
 
             let t0 = std::time::Instant::now();
             let mut machine =
                 Machine::with_oracle(&active.program, ObjectStore::new(), &mut *oracle);
-            let vars: Vec<(String, Var)> = rel
-                .attrs
-                .iter()
-                .enumerate()
-                .filter(|(_, attr)| !given.iter().any(|(a, _)| a == *attr))
-                .map(|(i, attr)| (attr.clone(), Var(i as u32)))
-                .collect();
-            let solutions = machine.solve_all(&goal, &vars).map_err(NavError::Engine)?;
+            let solutions = machine.solve_rows(&goal, &vars).map_err(NavError::Engine)?;
             cpu += t0.elapsed();
 
-            let records: Vec<crate::extractor::Record> = solutions
+            // Each row: the solved values in attribute order, a given
+            // attribute echoing its given value.
+            let rows: Vec<Vec<Value>> = solutions
                 .into_iter()
-                .map(|sol| {
-                    rel.attrs
+                .map(|solved| {
+                    let mut solved = solved.iter();
+                    bound
                         .iter()
-                        .map(|attr| {
-                            let value = match sol.get(attr) {
-                                Some(t) => term_to_value(t),
-                                // a given attribute: echo the given value
-                                None => given
-                                    .iter()
-                                    .find(|(a, _)| a == attr)
-                                    .map(|(_, v)| v.clone())
-                                    .unwrap_or(Value::Null),
-                            };
-                            (attr.clone(), value)
+                        .map(|given| match given {
+                            Some(v) => (*v).clone(),
+                            None => solved.next().map_or(Value::Null, term_to_value),
                         })
                         .collect()
                 })
                 .collect();
+            let attrs = rel.attrs.clone();
             drop(machine);
             drop(healing);
 
             let pending = oracle.take_probe_pending();
             if pending.is_empty() || attempt >= 1 {
-                break records;
+                break Rows { attrs, rows };
             }
             if !self.absorb_repairs(&mut oracle, &pending) {
                 // Nothing the compiled program depends on changed: the
                 // answers stand, the repaired map just reflects the site.
-                break records;
+                break Rows { attrs, rows };
             }
             attempt += 1;
         };
@@ -962,7 +1075,7 @@ impl SiteNavigator {
         };
         if obs.tracing() {
             obs.sink.advance(&self.map.site, oracle.simulated_network());
-            obs.sink.end_with(span, vec![("records", records.len().to_string())]);
+            obs.sink.end_with(span, vec![("records", records.rows.len().to_string())]);
         }
         Ok((records, stats))
     }
@@ -1132,7 +1245,7 @@ mod tests {
         let nav = newsday_navigator(web, &data);
         // make unbound: f1 cannot be submitted (select is mandatory); the
         // program fails finitely with no answers.
-        let (records, _) = nav.run_relation("newsday", &[]).expect("runs");
+        let (records, _) = nav.run_relation("newsday", &[] as &[(String, Value)]).expect("runs");
         assert!(records.is_empty());
     }
 
@@ -1140,7 +1253,10 @@ mod tests {
     fn unknown_relation_error() {
         let (web, data) = web_and_data();
         let nav = newsday_navigator(web, &data);
-        assert!(matches!(nav.run_relation("nope", &[]), Err(NavError::UnknownRelation(_))));
+        assert!(matches!(
+            nav.run_relation("nope", &[] as &[(String, Value)]),
+            Err(NavError::UnknownRelation(_))
+        ));
     }
 
     #[test]
@@ -1202,7 +1318,7 @@ mod tests {
         let truth = data.matching(SiteSlice::AutoWeb, Some("jaguar"), None);
         assert_eq!(records.len(), truth.len());
         // Unbound make: enumerates every make link.
-        let (all, _) = nav.run_relation("autoweb", &[]).expect("runs");
+        let (all, _) = nav.run_relation("autoweb", &[] as &[(String, Value)]).expect("runs");
         let all_truth = data.ads_for(SiteSlice::AutoWeb).count();
         assert_eq!(all.len(), all_truth);
     }

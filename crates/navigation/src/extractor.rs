@@ -109,9 +109,9 @@ impl ExtractionSpec {
     /// Structural recognition: is this page a data page for this spec?
     pub fn matches(&self, doc: &Document) -> bool {
         match self {
-            ExtractionSpec::Table { .. } => extract::tables(doc)
+            ExtractionSpec::Table { .. } => extract::table_headers(doc)
                 .iter()
-                .any(|t| self.page_fields().all(|f| t.header.contains(&f.source))),
+                .any(|header| self.page_fields().all(|f| header.contains(&f.source))),
             ExtractionSpec::DefList { .. } => {
                 let dls = def_lists(doc);
                 dls.iter().any(|pairs| {

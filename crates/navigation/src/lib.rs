@@ -53,7 +53,7 @@ pub use budget::{
 pub use cancel::{CancelToken, Interrupt};
 pub use compile::{compile_map, CompileError, CompiledSite};
 pub use drift::{sweep, DriftBus, DriftEvent, DriftKind, DriftOrigin, SweepReport};
-pub use executor::{NavError, RunStats, SiteNavigator};
+pub use executor::{NavError, Rows, RunStats, SiteNavigator};
 pub use extractor::{CellParse, ExtractionSpec, FieldSpec, Record};
 pub use healing::{RepairReport, SiteRepair};
 pub use map::{NavigationMap, NodeKind};

@@ -7,8 +7,8 @@
 //! [`ArithExpr`] is the formula language and [`crate::algebra::Expr::Extend`]
 //! the operator that adds the result as a new attribute.
 
-use crate::relation::{Relation, Tuple};
-use crate::schema::Attr;
+use crate::relation::Tuple;
+use crate::schema::{Attr, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -59,22 +59,53 @@ impl ArithExpr {
         }
     }
 
+    /// Resolve every attribute to its column in `schema`, once per
+    /// operator call rather than once per tuple. The error is the first
+    /// attribute, in [`ArithExpr::attrs`] order, that `schema` lacks.
+    pub fn resolve<'e>(&'e self, schema: &Schema) -> Result<ResolvedArith, &'e Attr> {
+        let pair = |l: &'e ArithExpr, r: &'e ArithExpr| -> Result<_, &'e Attr> {
+            Ok((Box::new(l.resolve(schema)?), Box::new(r.resolve(schema)?)))
+        };
+        Ok(match self {
+            ArithExpr::Attr(a) => ResolvedArith::Col(schema.index_of(a).ok_or(a)?),
+            ArithExpr::Const(c) => ResolvedArith::Const(*c),
+            ArithExpr::Add(l, r) => pair(l, r).map(|(l, r)| ResolvedArith::Add(l, r))?,
+            ArithExpr::Sub(l, r) => pair(l, r).map(|(l, r)| ResolvedArith::Sub(l, r))?,
+            ArithExpr::Mul(l, r) => pair(l, r).map(|(l, r)| ResolvedArith::Mul(l, r))?,
+            ArithExpr::Div(l, r) => pair(l, r).map(|(l, r)| ResolvedArith::Div(l, r))?,
+        })
+    }
+}
+
+/// An [`ArithExpr`] whose attributes are column indices of one schema
+/// ([`ArithExpr::resolve`]).
+#[derive(Debug)]
+pub enum ResolvedArith {
+    Col(usize),
+    Const(f64),
+    Add(Box<ResolvedArith>, Box<ResolvedArith>),
+    Sub(Box<ResolvedArith>, Box<ResolvedArith>),
+    Mul(Box<ResolvedArith>, Box<ResolvedArith>),
+    Div(Box<ResolvedArith>, Box<ResolvedArith>),
+}
+
+impl ResolvedArith {
     /// Evaluate over one tuple. `None` when an input is null or
     /// non-numeric, or on division by zero — the computed column is then
     /// [`Value::Null`] (a site that cannot quote does not quote).
-    pub fn eval(&self, rel: &Relation, t: &Tuple) -> Option<f64> {
+    pub fn eval(&self, t: &Tuple) -> Option<f64> {
         match self {
-            ArithExpr::Attr(a) => rel.value(t, a).as_f64(),
-            ArithExpr::Const(c) => Some(*c),
-            ArithExpr::Add(l, r) => Some(l.eval(rel, t)? + r.eval(rel, t)?),
-            ArithExpr::Sub(l, r) => Some(l.eval(rel, t)? - r.eval(rel, t)?),
-            ArithExpr::Mul(l, r) => Some(l.eval(rel, t)? * r.eval(rel, t)?),
-            ArithExpr::Div(l, r) => {
-                let d = r.eval(rel, t)?;
+            ResolvedArith::Col(i) => t.get(*i).as_f64(),
+            ResolvedArith::Const(c) => Some(*c),
+            ResolvedArith::Add(l, r) => Some(l.eval(t)? + r.eval(t)?),
+            ResolvedArith::Sub(l, r) => Some(l.eval(t)? - r.eval(t)?),
+            ResolvedArith::Mul(l, r) => Some(l.eval(t)? * r.eval(t)?),
+            ResolvedArith::Div(l, r) => {
+                let d = r.eval(t)?;
                 if d == 0.0 {
                     None
                 } else {
-                    Some(l.eval(rel, t)? / d)
+                    Some(l.eval(t)? / d)
                 }
             }
         }
@@ -83,8 +114,8 @@ impl ArithExpr {
     /// Evaluate into a [`Value`], rounding near-integers back to `Int`
     /// (so `price / 2` over int prices stays comparable with int
     /// constants in either representation).
-    pub fn eval_value(&self, rel: &Relation, t: &Tuple) -> Value {
-        match self.eval(rel, t) {
+    pub fn eval_value(&self, t: &Tuple) -> Value {
+        match self.eval(t) {
             None => Value::Null,
             Some(f) if f.fract() == 0.0 && f.abs() < i64::MAX as f64 => Value::Int(f as i64),
             Some(f) => Value::Float(f),
@@ -241,7 +272,7 @@ impl<'a> AScan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
+    use crate::relation::Relation;
 
     fn rel() -> Relation {
         Relation::from_rows(
@@ -258,7 +289,7 @@ mod tests {
         // payment ≈ price * (1 + rate/100 * duration/12) / duration
         let f = parse_arith("price * (1 + rate / 100 * duration / 12) / duration").expect("parses");
         let r = rel();
-        let p = f.eval(&r, &r.tuples()[0]).expect("computes");
+        let p = f.resolve(r.schema()).expect("resolves").eval(&r.tuples()[0]).expect("computes");
         let expected = 24000.0 * (1.0 + 0.072 * 4.0) / 48.0;
         assert!((p - expected).abs() < 1e-9, "{p} vs {expected}");
     }
@@ -267,32 +298,51 @@ mod tests {
     fn null_inputs_yield_null() {
         let f = parse_arith("price * rate").expect("parses");
         let r = rel();
-        assert_eq!(f.eval_value(&r, &r.tuples()[1]), Value::Null);
+        assert_eq!(
+            f.resolve(r.schema()).expect("resolves").eval_value(&r.tuples()[1]),
+            Value::Null
+        );
     }
 
     #[test]
     fn division_by_zero_is_null() {
         let f = parse_arith("price / (rate - rate)").expect("parses");
         let r = rel();
-        assert_eq!(f.eval_value(&r, &r.tuples()[0]), Value::Null);
+        assert_eq!(
+            f.resolve(r.schema()).expect("resolves").eval_value(&r.tuples()[0]),
+            Value::Null
+        );
     }
 
     #[test]
     fn precedence_and_parens() {
         let f = parse_arith("2 + 3 * 4").expect("parses");
         let r = rel();
-        assert_eq!(f.eval(&r, &r.tuples()[0]), Some(14.0));
+        assert_eq!(f.resolve(r.schema()).expect("resolves").eval(&r.tuples()[0]), Some(14.0));
         let g = parse_arith("(2 + 3) * 4").expect("parses");
-        assert_eq!(g.eval(&r, &r.tuples()[0]), Some(20.0));
+        assert_eq!(g.resolve(r.schema()).expect("resolves").eval(&r.tuples()[0]), Some(20.0));
         let h = parse_arith("20 - 6 - 4").expect("parses");
-        assert_eq!(h.eval(&r, &r.tuples()[0]), Some(10.0), "left associative");
+        assert_eq!(
+            h.resolve(r.schema()).expect("resolves").eval(&r.tuples()[0]),
+            Some(10.0),
+            "left associative"
+        );
     }
 
     #[test]
     fn integers_stay_integers() {
         let f = parse_arith("price / 2").expect("parses");
         let r = rel();
-        assert_eq!(f.eval_value(&r, &r.tuples()[0]), Value::Int(12000));
+        assert_eq!(
+            f.resolve(r.schema()).expect("resolves").eval_value(&r.tuples()[0]),
+            Value::Int(12000)
+        );
+    }
+
+    #[test]
+    fn resolve_reports_the_first_missing_attribute() {
+        let f = parse_arith("price * nosuch + other").expect("parses");
+        assert_eq!(f.resolve(rel().schema()).map(|_| ()), Err(&Attr::new("nosuch")));
     }
 
     #[test]

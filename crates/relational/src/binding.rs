@@ -97,6 +97,13 @@ impl BindingSet {
         self.bindings.iter().any(|b| b.is_subset(available))
     }
 
+    /// Can the relation be invoked when `has` tells which attributes
+    /// have values? The allocation-free form of
+    /// [`BindingSet::satisfied_by`].
+    pub fn satisfied_with(&self, has: impl Fn(&Attr) -> bool) -> bool {
+        self.bindings.iter().any(|b| b.iter().all(&has))
+    }
+
     /// The smallest binding satisfied by `available`, if any.
     pub fn choose(&self, available: &BTreeSet<Attr>) -> Option<&Binding> {
         self.bindings.iter().filter(|b| b.is_subset(available)).min_by_key(|b| b.len())

@@ -192,15 +192,13 @@ impl Incremental {
 
             Expr::Select(e, p) => {
                 let child = self.refresh(e)?;
-                for a in p.attrs() {
-                    if !child.old.schema().contains(&a) {
-                        return Err(DeltaError::Malformed(format!("σ on unknown attribute {a}")));
-                    }
-                }
+                let p = p
+                    .resolve(child.old.schema())
+                    .map_err(|a| DeltaError::Malformed(format!("σ on unknown attribute {a}")))?;
                 let filter = |rel: &Relation| {
                     let mut out = Relation::new(rel.schema().clone());
                     for t in rel.tuples() {
-                        if p.eval(rel, t) {
+                        if p.eval(t) {
                             out.push(t.clone());
                         }
                     }
@@ -290,19 +288,15 @@ impl Incremental {
                 if child.old.schema().contains(attr) {
                     return Err(DeltaError::Malformed(format!("ε re-defines attribute {attr}")));
                 }
-                for a in formula.attrs() {
-                    if !child.old.schema().contains(&a) {
-                        return Err(DeltaError::Malformed(format!(
-                            "ε reads unknown attribute {a}"
-                        )));
-                    }
-                }
+                let formula = formula
+                    .resolve(child.old.schema())
+                    .map_err(|a| DeltaError::Malformed(format!("ε reads unknown attribute {a}")))?;
                 let schema = child.old.schema().join(&Schema::new([attr.clone()]));
                 let extend = |rel: &Relation| {
                     let mut out = Relation::new(schema.clone());
                     for t in rel.tuples() {
                         let mut vals = t.values().to_vec();
-                        vals.push(formula.eval_value(rel, t));
+                        vals.push(formula.eval_value(t));
                         out.push(Tuple::from_values(vals));
                     }
                     out

@@ -20,9 +20,12 @@
 
 use crate::algebra::Expr;
 use crate::binding::{propagate, BindingSet};
+use crate::predicate::Pred;
 use crate::relation::{Relation, Tuple};
 use crate::schema::{Attr, Schema};
 use crate::value::Value;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -47,7 +50,21 @@ impl AccessSpec {
         self.constants.insert(attr, v);
     }
 
-    pub fn get(&self, attr: &Attr) -> Option<&Value> {
+    /// Set `attr` to a copy of `v`, reusing the entry when it exists.
+    fn set(&mut self, attr: &Attr, v: &Value) {
+        match self.constants.get_mut(attr) {
+            Some(slot) => slot.clone_from(v),
+            None => {
+                self.constants.insert(attr.clone(), v.clone());
+            }
+        }
+    }
+
+    /// The constant on `attr`, which may be an [`Attr`] or a `&str`.
+    pub fn get<Q: Ord + ?Sized>(&self, attr: &Q) -> Option<&Value>
+    where
+        Attr: std::borrow::Borrow<Q>,
+    {
         self.constants.get(attr)
     }
 
@@ -121,6 +138,82 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// What evaluation needs of an expression that no call changes: for
+/// every ⋈ node, both sides' §5 binding sets and static schemas.
+/// Compiled once per expression against one provider's bindings and
+/// schemas ([`CompiledExpr::new`]) and reused by every evaluation of
+/// that expression over a provider with the same ones — the engine
+/// keeps one per logical definition and one per cached plan object.
+///
+/// The nodes are the expression's in pre-order; each records its
+/// subtree size, so a binary node finds its right child without a walk.
+#[derive(Debug)]
+pub struct CompiledExpr {
+    nodes: Vec<Node>,
+}
+
+#[derive(Debug)]
+struct Node {
+    size: usize,
+    join: Option<Box<JoinStatic>>,
+}
+
+/// The static half of one dependent join (see [`Evaluator`]'s join).
+#[derive(Debug)]
+struct JoinStatic {
+    l_bind: BindingSet,
+    r_bind: BindingSet,
+    l_schema: Option<Schema>,
+    r_schema: Option<Schema>,
+}
+
+impl CompiledExpr {
+    /// Derive `expr`'s static analysis from `provider`'s base bindings
+    /// and schemas, under the given union rule.
+    pub fn new<P: RelationProvider + ?Sized>(
+        expr: &Expr,
+        provider: &P,
+        relaxed_union: bool,
+    ) -> CompiledExpr {
+        let mut nodes = Vec::new();
+        let base_b = |n: &str| provider.bindings(n);
+        let base_s = |n: &str| provider.schema(n);
+        compile_node(expr, &base_b, &base_s, relaxed_union, &mut nodes);
+        CompiledExpr { nodes }
+    }
+}
+
+fn compile_node(
+    expr: &Expr,
+    base_b: &dyn Fn(&str) -> Option<BindingSet>,
+    base_s: &dyn Fn(&str) -> Option<Schema>,
+    relaxed: bool,
+    nodes: &mut Vec<Node>,
+) {
+    let at = nodes.len();
+    let join = match expr {
+        Expr::Join(l, r) => Some(Box::new(JoinStatic {
+            l_bind: propagate(l, base_b, base_s, relaxed),
+            r_bind: propagate(r, base_b, base_s, relaxed),
+            l_schema: l.schema(base_s),
+            r_schema: r.schema(base_s),
+        })),
+        _ => None,
+    };
+    nodes.push(Node { size: 0, join });
+    match expr {
+        Expr::Rel(_) => {}
+        Expr::Select(e, _) | Expr::Project(e, _) | Expr::Rename(e, _) | Expr::Extend(e, _, _) => {
+            compile_node(e, base_b, base_s, relaxed, nodes);
+        }
+        Expr::Join(l, r) | Expr::Union(l, r) | Expr::Diff(l, r) => {
+            compile_node(l, base_b, base_s, relaxed, nodes);
+            compile_node(r, base_b, base_s, relaxed, nodes);
+        }
+    }
+    nodes[at].size = nodes.len() - at;
+}
+
 /// The expression evaluator.
 pub struct Evaluator<'p, P: RelationProvider> {
     provider: &'p mut P,
@@ -139,8 +232,42 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
         self
     }
 
-    /// Evaluate `expr` given the access constants `spec`.
+    /// Evaluate `expr` given the access constants `spec`, compiling it
+    /// for this one call.
     pub fn eval(&mut self, expr: &Expr, spec: &AccessSpec) -> Result<Relation, EvalError> {
+        let compiled = CompiledExpr::new(expr, &*self.provider, self.relaxed_union);
+        self.eval_compiled(expr, &compiled, spec)
+    }
+
+    /// Evaluate `expr` with its compiled form, which must come from
+    /// [`CompiledExpr::new`] over `expr` and a provider with this
+    /// provider's bindings and schemas, under this evaluator's union
+    /// rule.
+    pub fn eval_compiled(
+        &mut self,
+        expr: &Expr,
+        compiled: &CompiledExpr,
+        spec: &AccessSpec,
+    ) -> Result<Relation, EvalError> {
+        self.node(expr, compiled, 0, spec)
+    }
+
+    fn node(
+        &mut self,
+        expr: &Expr,
+        c: &CompiledExpr,
+        at: usize,
+        spec: &AccessSpec,
+    ) -> Result<Relation, EvalError> {
+        let Some(node) = c.nodes.get(at) else {
+            return Err(EvalError::SchemaMismatch(format!(
+                "{expr} was compiled as another expression"
+            )));
+        };
+        // Children in pre-order: the first right after this node, the
+        // second after the first's subtree.
+        let first = at + 1;
+        let second = || first + c.nodes.get(first).map_or(0, |n| n.size);
         match expr {
             Expr::Rel(name) => {
                 let rel = self.provider.fetch(name, spec)?;
@@ -156,17 +283,11 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
             Expr::Select(e, p) => {
                 // Push equality constants down so base relations can use
                 // them as binding values.
-                let mut inner_spec = spec.clone();
-                for (a, v) in p.bound_constants() {
-                    inner_spec.insert(a, v);
-                }
-                let input = self.eval(e, &inner_spec)?;
-                for a in p.attrs() {
-                    if !input.schema().contains(&a) {
-                        return Err(EvalError::UnknownAttr(a.to_string()));
-                    }
-                }
-                Ok(filtered(input.clone(), |t| p.eval(&input, t)))
+                let inner_spec = with_constants(spec, p);
+                let input = self.node(e, c, first, &inner_spec)?;
+                let pred =
+                    p.resolve(input.schema()).map_err(|a| EvalError::UnknownAttr(a.to_string()))?;
+                Ok(filtered(input, |t| pred.eval(t)))
             }
             Expr::Project(e, attrs) => {
                 // Scope boundary: a constant on an attribute the
@@ -179,13 +300,8 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                 // cross the boundary; relations whose mandatory
                 // attributes are projected away must bind them inside
                 // the definition (σ under the π).
-                let mut inner_spec = AccessSpec::new();
-                for (a, v) in spec.iter() {
-                    if attrs.contains(a) {
-                        inner_spec.insert(a.clone(), v.clone());
-                    }
-                }
-                let input = self.eval(e, &inner_spec)?;
+                let inner_spec = spec_where(spec, |a| attrs.contains(a));
+                let input = self.node(e, c, first, &inner_spec)?;
                 let idx: Vec<usize> = attrs
                     .iter()
                     .map(|a| {
@@ -195,6 +311,11 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                             .ok_or_else(|| EvalError::UnknownAttr(a.to_string()))
                     })
                     .collect::<Result<_, _>>()?;
+                // Keeping every column in place keeps every tuple.
+                if idx.len() == input.schema().len() && idx.iter().enumerate().all(|(i, &j)| i == j)
+                {
+                    return Ok(input);
+                }
                 let mut out = Relation::new(input.schema().project(attrs));
                 for t in input.tuples() {
                     out.push(Tuple::from_values(idx.iter().map(|&i| t.get(i).clone())));
@@ -204,49 +325,31 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
             Expr::Rename(e, pairs) => {
                 // Constants on renamed attributes are translated back to
                 // the inner names before pushdown.
-                let mut inner_spec = AccessSpec::new();
-                for (a, v) in spec.iter() {
-                    let inner_attr = pairs
-                        .iter()
-                        .find(|(_, to)| to == a)
-                        .map(|(from, _)| from.clone())
-                        .unwrap_or_else(|| a.clone());
-                    inner_spec.insert(inner_attr, v.clone());
-                }
-                let input = self.eval(e, &inner_spec)?;
+                let inner_spec = if spec.iter().any(|(a, _)| pairs.iter().any(|(_, to)| to == a)) {
+                    let mut inner = AccessSpec::new();
+                    for (a, v) in spec.iter() {
+                        let inner_attr =
+                            pairs.iter().find(|(_, to)| to == a).map_or(a, |(from, _)| from);
+                        inner.insert(inner_attr.clone(), v.clone());
+                    }
+                    Cow::Owned(inner)
+                } else {
+                    Cow::Borrowed(spec)
+                };
+                let input = self.node(e, c, first, &inner_spec)?;
                 let schema = Schema::new(input.schema().attrs().iter().map(|a| {
-                    pairs
-                        .iter()
-                        .find(|(from, _)| from == a)
-                        .map(|(_, to)| to.clone())
-                        .unwrap_or_else(|| a.clone())
+                    pairs.iter().find(|(from, _)| from == a).map_or(a, |(_, to)| to).clone()
                 }));
-                let mut out = Relation::new(schema);
-                for t in input.tuples() {
-                    out.push(t.clone());
-                }
-                Ok(out)
+                // Renaming changes no tuple: the set is shared as is.
+                Ok(input.with_schema(schema))
             }
             Expr::Union(l, r) => {
                 let (lr, rr) = if self.relaxed_union {
-                    // Relaxed union: a side that cannot be invoked yields ∅
+                    // Relaxed union: a side that cannot be invoked — or
+                    // whose source was never mapped at all — yields ∅
                     // instead of failing the whole query.
-                    // A side that cannot be invoked — or whose source was
-                    // never mapped at all — contributes nothing.
-                    let lr = match self.eval(l, spec) {
-                        Ok(rel) => Some(rel),
-                        Err(EvalError::UnboundAccess { .. } | EvalError::UnknownRelation(_)) => {
-                            None
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    let rr = match self.eval(r, spec) {
-                        Ok(rel) => Some(rel),
-                        Err(EvalError::UnboundAccess { .. } | EvalError::UnknownRelation(_)) => {
-                            None
-                        }
-                        Err(e) => return Err(e),
-                    };
+                    let lr = invocable(self.node(l, c, first, spec))?;
+                    let rr = invocable(self.node(r, c, second(), spec))?;
                     if lr.is_none() && rr.is_none() {
                         return Err(EvalError::UnboundAccess {
                             relation: expr.to_string(),
@@ -255,7 +358,7 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                     }
                     (lr, rr)
                 } else {
-                    (Some(self.eval(l, spec)?), Some(self.eval(r, spec)?))
+                    (Some(self.node(l, c, first, spec)?), Some(self.node(r, c, second(), spec)?))
                 };
                 if let (Some(a), Some(b)) = (&lr, &rr) {
                     if a.schema() != b.schema() {
@@ -281,39 +384,32 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                 // The computed attribute does not exist below this node:
                 // strip any constant on it before descending (same scope
                 // rule as projection).
-                let mut inner_spec = AccessSpec::new();
-                for (a, v) in spec.iter() {
-                    if a != attr {
-                        inner_spec.insert(a.clone(), v.clone());
-                    }
-                }
-                let input = self.eval(e, &inner_spec)?;
+                let inner_spec = spec_where(spec, |a| a != attr);
+                let input = self.node(e, c, first, &inner_spec)?;
                 if input.schema().contains(attr) {
                     return Err(EvalError::SchemaMismatch(format!(
                         "extend: attribute {attr} already exists"
                     )));
                 }
-                for a in formula.attrs() {
-                    if !input.schema().contains(&a) {
-                        return Err(EvalError::UnknownAttr(a.to_string()));
-                    }
-                }
+                let formula = formula
+                    .resolve(input.schema())
+                    .map_err(|a| EvalError::UnknownAttr(a.to_string()))?;
                 let schema = input.schema().join(&Schema::new([attr.clone()]));
                 let mut out = Relation::new(schema);
                 for t in input.tuples() {
-                    let v = formula.eval_value(&input, t);
+                    let v = formula.eval_value(t);
                     out.push(Tuple::from_values(t.values().iter().cloned().chain([v])));
                 }
                 // Re-apply any constant on the computed attribute.
                 if let Some(want) = spec.get(attr) {
-                    let idx = out.schema().index_of(attr).expect("just added");
+                    let idx = out.schema().len() - 1;
                     out = filtered(out, |t| t.get(idx).matches(want));
                 }
                 Ok(out)
             }
             Expr::Diff(l, r) => {
-                let lrel = self.eval(l, spec)?;
-                let rrel = self.eval(r, spec)?;
+                let lrel = self.node(l, c, first, spec)?;
+                let rrel = self.node(r, c, second(), spec)?;
                 if lrel.schema() != rrel.schema() {
                     return Err(EvalError::SchemaMismatch(format!(
                         "difference of {} and {}",
@@ -321,15 +417,16 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
                         rrel.schema()
                     )));
                 }
-                let mut out = Relation::new(lrel.schema().clone());
-                for t in lrel.tuples() {
-                    if !rrel.tuples().contains(t) {
-                        out.push(t.clone());
-                    }
-                }
-                Ok(out)
+                Ok(filtered(lrel, |t| !rrel.contains(t)))
             }
-            Expr::Join(l, r) => self.eval_join(l, r, spec),
+            Expr::Join(l, r) => {
+                let Some(join) = node.join.as_deref() else {
+                    return Err(EvalError::SchemaMismatch(format!(
+                        "{expr} was compiled as another expression"
+                    )));
+                };
+                self.eval_join(l, r, join, c, (first, second()), spec)
+            }
         }
     }
 
@@ -337,36 +434,31 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
     /// bindings the current constants satisfy runs first; the other side
     /// is invoked once per distinct shared-attribute combination from the
     /// first side's result (plus the constants), then hash-joined.
-    fn eval_join(&mut self, l: &Expr, r: &Expr, spec: &AccessSpec) -> Result<Relation, EvalError> {
-        // Compute all static binding/schema analysis up front so the
-        // provider borrow is released before evaluation mutates it.
-        let (l_bind, r_bind, l_schema_opt, r_schema_opt) = {
-            let base_b = |n: &str| self.provider.bindings(n);
-            let base_s = |n: &str| self.provider.schema(n);
-            (
-                propagate(l, &base_b, &base_s, self.relaxed_union),
-                propagate(r, &base_b, &base_s, self.relaxed_union),
-                l.schema(&base_s),
-                r.schema(&base_s),
-            )
-        };
-        let available = spec.attrs();
-        let l_ready = l_bind.satisfied_by(&available);
-        let r_ready = r_bind.satisfied_by(&available);
-        let (first, second, second_bind, second_schema_opt, swapped) = if l_ready {
-            (l, r, r_bind, r_schema_opt, false)
-        } else if r_ready {
-            (r, l, l_bind, l_schema_opt, true)
-        } else {
-            return Err(EvalError::UnboundAccess {
-                relation: format!("({l} ⋈ {r})"),
-                available: spec.to_string(),
-            });
-        };
-        let first_rel = self.eval(first, spec)?;
+    fn eval_join(
+        &mut self,
+        l: &Expr,
+        r: &Expr,
+        join: &JoinStatic,
+        c: &CompiledExpr,
+        (l_at, r_at): (usize, usize),
+        spec: &AccessSpec,
+    ) -> Result<Relation, EvalError> {
+        let bound = |a: &Attr| spec.get(a).is_some();
+        let (first, first_at, second, second_at, second_bind, second_schema, swapped) =
+            if join.l_bind.satisfied_with(bound) {
+                (l, l_at, r, r_at, &join.r_bind, &join.r_schema, false)
+            } else if join.r_bind.satisfied_with(bound) {
+                (r, r_at, l, l_at, &join.l_bind, &join.l_schema, true)
+            } else {
+                return Err(EvalError::UnboundAccess {
+                    relation: format!("({l} ⋈ {r})"),
+                    available: spec.to_string(),
+                });
+            };
+        let first_rel = self.node(first, c, first_at, spec)?;
         let second_schema =
-            second_schema_opt.ok_or_else(|| EvalError::UnknownRelation(second.to_string()))?;
-        let shared: Vec<Attr> = first_rel.schema().common(&second_schema);
+            second_schema.as_ref().ok_or_else(|| EvalError::UnknownRelation(second.to_string()))?;
+        let shared: Vec<Attr> = first_rel.schema().common(second_schema);
 
         // Evaluate the second side. When every shared attribute is
         // already a constant, once; otherwise once per distinct
@@ -377,95 +469,197 @@ impl<'p, P: RelationProvider> Evaluator<'p, P> {
         // optional inputs (a rate quote echoes the year it was asked
         // about), so withholding a shared attribute loses the
         // correlation, not just efficiency.
-        let all_shared_bound = shared.iter().all(|a| available.contains(a));
-        let mut second_rel = Relation::new(second_schema.clone());
-        if all_shared_bound && second_bind.satisfied_by(&available) {
-            second_rel = self.eval(second, spec)?;
+        let dependent = !(shared.iter().all(bound) && second_bind.satisfied_with(bound));
+        let mut parts = Vec::new();
+        if !dependent {
+            parts.push(self.node(second, c, second_at, spec)?);
         } else {
+            // Every combination binds the same attributes, so one check
+            // covers them all; it fails at the first invocation.
+            let invocable = second_bind.satisfied_with(|a| bound(a) || shared.contains(a));
             let idx: Vec<usize> = shared
                 .iter()
                 .map(|a| first_rel.schema().index_of(a).expect("shared attr in first schema"))
                 .collect();
             // Distinct combinations in first-seen order, borrowed from
             // the first side's tuples.
-            let mut seen: HashSet<Vec<&Value>> = HashSet::new();
-            let combos: Vec<Vec<&Value>> = first_rel
-                .tuples()
-                .iter()
-                .map(|t| idx.iter().map(|&i| t.get(i)).collect::<Vec<_>>())
-                .filter(|key| seen.insert(key.clone()))
-                .collect();
-            for combo in combos {
+            let mut seen: HashSet<Key<'_>> = HashSet::new();
+            let mut dep_spec = spec.clone();
+            for t in first_rel.tuples() {
+                let key = Key { t, cols: &idx };
                 // Null join keys never match; skip the invocation.
-                if combo.iter().any(|v| v.is_null()) {
+                if key.has_null() || !seen.insert(key) {
                     continue;
                 }
-                let mut dep_spec = spec.clone();
-                for (a, &v) in shared.iter().zip(&combo) {
-                    dep_spec.insert(a.clone(), v.clone());
+                for (a, &i) in shared.iter().zip(&idx) {
+                    dep_spec.set(a, t.get(i));
                 }
-                let dep_avail = dep_spec.attrs();
-                if !second_bind.satisfied_by(&dep_avail) {
+                if !invocable {
                     return Err(EvalError::UnboundAccess {
                         relation: second.to_string(),
                         available: dep_spec.to_string(),
                     });
                 }
-                let part = self.eval(second, &dep_spec)?;
-                for t in part.tuples() {
-                    second_rel.push(t.clone());
+                let part = self.node(second, c, second_at, &dep_spec)?;
+                if part.schema().len() != second_schema.len() {
+                    return Err(EvalError::SchemaMismatch(format!(
+                        "{second} answered {} for {second_schema}",
+                        part.schema()
+                    )));
                 }
+                parts.push(part);
             }
         }
 
-        // Hash join on the shared attributes.
-        let (lrel, rrel) = if swapped { (second_rel, first_rel) } else { (first_rel, second_rel) };
-        Ok(hash_join(&lrel, &rrel))
+        // Hash join on the shared attributes. In dependent mode the
+        // second side is the list of per-combination answers under the
+        // static schema, joined as they are rather than merged first.
+        let second_side = match (dependent, parts.first()) {
+            (false, Some(one)) => one.schema(),
+            _ => second_schema,
+        };
+        let first_side = (first_rel.schema(), std::slice::from_ref(&first_rel));
+        let second_side = (second_side, parts.as_slice());
+        let (lside, rside) =
+            if swapped { (second_side, first_side) } else { (first_side, second_side) };
+        Ok(join_sides(lside, rside))
     }
 }
+
+/// A relaxed-union side: `None` when it cannot be invoked or names an
+/// unmapped source.
+fn invocable(side: Result<Relation, EvalError>) -> Result<Option<Relation>, EvalError> {
+    match side {
+        Ok(rel) => Ok(Some(rel)),
+        Err(EvalError::UnboundAccess { .. } | EvalError::UnknownRelation(_)) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// `spec` plus the equality constants of `p` (later ones win), copied
+/// only when one of them is new.
+fn with_constants<'s>(spec: &'s AccessSpec, p: &Pred) -> Cow<'s, AccessSpec> {
+    let mut out = Cow::Borrowed(spec);
+    p.each_bound_constant(&mut |a, v| {
+        if !out.get(a).is_some_and(|old| identical(old, v)) {
+            out.to_mut().insert(a.clone(), v.clone());
+        }
+    });
+    out
+}
+
+/// The constants of `spec` on attributes `keep` accepts, copied only
+/// when one is dropped.
+fn spec_where(spec: &AccessSpec, keep: impl Fn(&Attr) -> bool) -> Cow<'_, AccessSpec> {
+    if spec.iter().all(|(a, _)| keep(a)) {
+        return Cow::Borrowed(spec);
+    }
+    let mut out = AccessSpec::new();
+    for (a, v) in spec.iter().filter(|(a, _)| keep(a)) {
+        out.insert(a.clone(), v.clone());
+    }
+    Cow::Owned(out)
+}
+
+/// The same value in every observable way (`==` identifies `0.0` with
+/// `-0.0`, which print differently).
+fn identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// A join key: some columns of one tuple, hashed and compared by value
+/// without being copied out.
+struct Key<'a> {
+    t: &'a Tuple,
+    cols: &'a [usize],
+}
+
+impl Key<'_> {
+    fn has_null(&self) -> bool {
+        self.cols.iter().any(|&i| self.t.get(i).is_null())
+    }
+}
+
+impl std::hash::Hash for Key<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for &i in self.cols {
+            self.t.get(i).hash(state);
+        }
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.len() == other.cols.len()
+            && self.cols.iter().zip(other.cols).all(|(&i, &j)| self.t.get(i) == other.t.get(j))
+    }
+}
+
+impl Eq for Key<'_> {}
 
 /// Natural hash join (degenerates to the cartesian product when no
 /// attributes are shared). Tuples with a null join key never match.
 pub fn hash_join(l: &Relation, r: &Relation) -> Relation {
-    let shared = l.schema().common(r.schema());
-    let out_schema = l.schema().join(r.schema());
-    let mut out = Relation::new(out_schema);
+    join_sides((l.schema(), std::slice::from_ref(l)), (r.schema(), std::slice::from_ref(r)))
+}
+
+/// [`hash_join`] where each side is a schema and a list of relations
+/// read in order as one.
+fn join_sides(
+    (l_schema, l): (&Schema, &[Relation]),
+    (r_schema, r): (&Schema, &[Relation]),
+) -> Relation {
+    let shared = l_schema.common(r_schema);
+    let mut out = Relation::new(l_schema.join(r_schema));
     let l_idx: Vec<usize> =
-        shared.iter().map(|a| l.schema().index_of(a).expect("shared in l")).collect();
+        shared.iter().map(|a| l_schema.index_of(a).expect("shared in l")).collect();
     let r_idx: Vec<usize> =
-        shared.iter().map(|a| r.schema().index_of(a).expect("shared in r")).collect();
+        shared.iter().map(|a| r_schema.index_of(a).expect("shared in r")).collect();
     // Extra (non-join) columns of the right side, in schema order.
-    let r_extra: Vec<usize> = r
-        .schema()
+    let r_extra: Vec<usize> = r_schema
         .attrs()
         .iter()
         .enumerate()
-        .filter(|(_, a)| !l.schema().contains(a))
+        .filter(|(_, a)| !l_schema.contains(a))
         .map(|(i, _)| i)
         .collect();
     // Build side: always the right input, whatever its size — probing
-    // with the left keeps output tuples in left-then-right order. Keys
-    // borrow the tuples' values.
-    let mut table: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::new();
-    for t in r.tuples() {
-        let key: Vec<&Value> = r_idx.iter().map(|&i| t.get(i)).collect();
-        if key.iter().any(|v| v.is_null()) {
+    // with the left keeps output tuples in left-then-right order. Each
+    // key maps to its first and last build tuple, and the tuples with
+    // one key are chained in input order through `next`.
+    let build: Vec<&Tuple> = r.iter().flat_map(Relation::tuples).collect();
+    let mut next = vec![usize::MAX; build.len()];
+    let mut table: HashMap<Key<'_>, (usize, usize)> = HashMap::with_capacity(build.len());
+    for (i, t) in build.iter().enumerate() {
+        let key = Key { t, cols: &r_idx };
+        if key.has_null() {
             continue;
         }
-        table.entry(key).or_default().push(t);
-    }
-    let mut key: Vec<&Value> = Vec::with_capacity(l_idx.len());
-    for lt in l.tuples() {
-        key.clear();
-        key.extend(l_idx.iter().map(|&i| lt.get(i)));
-        if key.iter().any(|v| v.is_null()) {
-            continue;
-        }
-        if let Some(matches) = table.get(&key) {
-            for rt in matches {
-                let extra = r_extra.iter().map(|&i| rt.get(i).clone());
-                out.push(Tuple::from_values(lt.values().iter().cloned().chain(extra)));
+        match table.entry(key) {
+            Entry::Occupied(mut chain) => {
+                next[chain.get().1] = i;
+                chain.get_mut().1 = i;
             }
+            Entry::Vacant(slot) => {
+                slot.insert((i, i));
+            }
+        }
+    }
+    for lt in l.iter().flat_map(Relation::tuples) {
+        let key = Key { t: lt, cols: &l_idx };
+        if key.has_null() {
+            continue;
+        }
+        let Some(&(head, _)) = table.get(&key) else { continue };
+        let mut at = head;
+        while at != usize::MAX {
+            let rt = build[at];
+            let extra = r_extra.iter().map(|&i| rt.get(i).clone());
+            out.push(Tuple::from_values(lt.values().iter().cloned().chain(extra)));
+            at = next[at];
         }
     }
     out
@@ -478,11 +672,9 @@ fn filtered(rel: Relation, keep: impl Fn(&Tuple) -> bool) -> Relation {
     let Some(drop) = tuples.iter().position(|t| !keep(t)) else {
         return rel;
     };
-    let mut out = Relation::new(rel.schema().clone());
-    for t in tuples[..drop].iter().chain(tuples[drop + 1..].iter().filter(|t| keep(t))) {
-        out.push(t.clone());
-    }
-    out
+    // Survivors of a set are distinct: no need to hash them again.
+    let kept = tuples[..drop].iter().chain(tuples[drop + 1..].iter().filter(|t| keep(t)));
+    Relation::from_distinct(rel.schema().clone(), kept.cloned().collect())
 }
 
 /// An in-memory provider for tests and for materialised intermediate

@@ -1,7 +1,7 @@
 //! Selection predicates.
 
-use crate::relation::{Relation, Tuple};
-use crate::schema::Attr;
+use crate::relation::Tuple;
+use crate::schema::{Attr, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -114,20 +114,21 @@ impl Pred {
         }
     }
 
-    /// Evaluate against tuple `t` of relation `rel`.
-    pub fn eval(&self, rel: &Relation, t: &Tuple) -> bool {
-        match self {
-            Pred::Cmp(a, op, v) => op.eval(rel.value(t, a), v),
-            Pred::CmpAttr(a, op, b) => op.eval(rel.value(t, a), rel.value(t, b)),
-            Pred::Contains(a, needle) => match rel.value(t, a) {
-                Value::Str(s) => s.to_ascii_lowercase().contains(&needle.to_ascii_lowercase()),
-                _ => false,
-            },
-            Pred::And(ps) => ps.iter().all(|p| p.eval(rel, t)),
-            Pred::Or(ps) => ps.iter().any(|p| p.eval(rel, t)),
-            Pred::Not(p) => !p.eval(rel, t),
-            Pred::True => true,
-        }
+    /// Resolve every attribute to its column in `schema`, once per
+    /// operator call rather than once per tuple. The error is the first
+    /// attribute, in [`Pred::attrs`] order, that `schema` lacks.
+    pub fn resolve<'p>(&'p self, schema: &Schema) -> Result<ResolvedPred<'p>, &'p Attr> {
+        let col = |a: &'p Attr| schema.index_of(a).ok_or(a);
+        let all = |ps: &'p [Pred]| ps.iter().map(|p| p.resolve(schema)).collect::<Result<_, _>>();
+        Ok(match self {
+            Pred::Cmp(a, op, v) => ResolvedPred::Cmp(col(a)?, *op, v),
+            Pred::CmpAttr(a, op, b) => ResolvedPred::CmpAttr(col(a)?, *op, col(b)?),
+            Pred::Contains(a, needle) => ResolvedPred::Contains(col(a)?, needle),
+            Pred::And(ps) => ResolvedPred::And(all(ps)?),
+            Pred::Or(ps) => ResolvedPred::Or(all(ps)?),
+            Pred::Not(p) => ResolvedPred::Not(Box::new(p.resolve(schema)?)),
+            Pred::True => ResolvedPred::True,
+        })
     }
 
     /// Attributes mentioned by the predicate.
@@ -163,12 +164,60 @@ impl Pred {
     /// conjuncts at the top level) — these supply *bindings* for
     /// mandatory attributes during join ordering.
     pub fn bound_constants(&self) -> Vec<(Attr, Value)> {
+        let mut out = Vec::new();
+        self.each_bound_constant(&mut |a, v| out.push((a.clone(), v.clone())));
+        out
+    }
+
+    /// Visit the [`Pred::bound_constants`] in order, by reference.
+    pub fn each_bound_constant<'p>(&'p self, f: &mut impl FnMut(&'p Attr, &'p Value)) {
         match self {
-            Pred::Cmp(a, Op::Eq, v) => vec![(a.clone(), v.clone())],
-            Pred::And(ps) => ps.iter().flat_map(Pred::bound_constants).collect(),
-            _ => Vec::new(),
+            Pred::Cmp(a, Op::Eq, v) => f(a, v),
+            Pred::And(ps) => ps.iter().for_each(|p| p.each_bound_constant(f)),
+            _ => {}
         }
     }
+}
+
+/// A [`Pred`] whose attributes are column indices of one schema
+/// ([`Pred::resolve`]). Constants are borrowed from the predicate.
+#[derive(Debug)]
+pub enum ResolvedPred<'p> {
+    Cmp(usize, Op, &'p Value),
+    CmpAttr(usize, Op, usize),
+    Contains(usize, &'p str),
+    And(Vec<ResolvedPred<'p>>),
+    Or(Vec<ResolvedPred<'p>>),
+    Not(Box<ResolvedPred<'p>>),
+    True,
+}
+
+impl ResolvedPred<'_> {
+    /// Evaluate against a tuple of the schema this was resolved for.
+    pub fn eval(&self, t: &Tuple) -> bool {
+        match self {
+            ResolvedPred::Cmp(i, op, v) => op.eval(t.get(*i), v),
+            ResolvedPred::CmpAttr(i, op, j) => op.eval(t.get(*i), t.get(*j)),
+            ResolvedPred::Contains(i, needle) => match t.get(*i) {
+                Value::Str(s) => contains_ignore_ascii_case(s, needle),
+                _ => false,
+            },
+            ResolvedPred::And(ps) => ps.iter().all(|p| p.eval(t)),
+            ResolvedPred::Or(ps) => ps.iter().any(|p| p.eval(t)),
+            ResolvedPred::Not(p) => !p.eval(t),
+            ResolvedPred::True => true,
+        }
+    }
+}
+
+/// `hay.to_ascii_lowercase().contains(&needle.to_ascii_lowercase())`
+/// without lowercasing copies. A valid UTF-8 needle can only match a
+/// valid UTF-8 haystack at a character boundary, so a byte-window scan
+/// agrees with `str::contains`.
+fn contains_ignore_ascii_case(hay: &str, needle: &str) -> bool {
+    let needle = needle.as_bytes();
+    needle.is_empty()
+        || hay.as_bytes().windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle))
 }
 
 impl fmt::Display for Pred {
@@ -194,7 +243,7 @@ impl fmt::Display for Pred {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
+    use crate::relation::Relation;
 
     fn rel() -> Relation {
         Relation::from_rows(
@@ -207,38 +256,40 @@ mod tests {
         )
     }
 
+    /// Evaluate `p` over every tuple of `r`.
+    fn hits(p: &Pred, r: &Relation) -> Vec<bool> {
+        let resolved = p.resolve(r.schema()).expect("attributes resolve");
+        r.tuples().iter().map(|t| resolved.eval(t)).collect()
+    }
+
     #[test]
     fn constant_comparison() {
         let r = rel();
-        let p = Pred::eq("make", "ford");
-        let hits: Vec<bool> = r.tuples().iter().map(|t| p.eval(&r, t)).collect();
-        assert_eq!(hits, vec![true, false, false]);
+        assert_eq!(hits(&Pred::eq("make", "ford"), &r), vec![true, false, false]);
     }
 
     #[test]
     fn attr_comparison_price_below_bluebook() {
         let r = rel();
-        let p = Pred::attr_lt("price", "bbprice");
-        let hits: Vec<bool> = r.tuples().iter().map(|t| p.eval(&r, t)).collect();
         // the null price never satisfies a comparison
-        assert_eq!(hits, vec![true, false, false]);
+        assert_eq!(hits(&Pred::attr_lt("price", "bbprice"), &r), vec![true, false, false]);
     }
 
     #[test]
     fn null_semantics() {
         let r = rel();
-        assert!(!Pred::eq("price", Value::Null).eval(&r, &r.tuples()[2]));
-        assert!(!Pred::ne("price", 1i64).eval(&r, &r.tuples()[2]));
-        assert!(!Pred::lt("price", 10i64).eval(&r, &r.tuples()[2]));
+        for p in [Pred::eq("price", Value::Null), Pred::ne("price", 1i64), Pred::lt("price", 10i64)]
+        {
+            assert!(!hits(&p, &r)[2], "{p}");
+        }
     }
 
     #[test]
     fn boolean_combinators() {
         let r = rel();
         let p = Pred::Or(vec![Pred::eq("make", "ford"), Pred::eq("make", "saab")]);
-        assert_eq!(r.tuples().iter().filter(|t| p.eval(&r, t)).count(), 2);
-        let n = Pred::Not(Box::new(p));
-        assert_eq!(r.tuples().iter().filter(|t| n.eval(&r, t)).count(), 1);
+        assert_eq!(hits(&p, &r), vec![true, false, true]);
+        assert_eq!(hits(&Pred::Not(Box::new(p)), &r), vec![false, true, false]);
     }
 
     #[test]
@@ -258,8 +309,18 @@ mod tests {
             Schema::new(["features"]),
             [vec![Value::str("Sunroof, ABS, Leather")]],
         );
-        assert!(Pred::contains("features", "abs").eval(&r, &r.tuples()[0]));
-        assert!(!Pred::contains("features", "diesel").eval(&r, &r.tuples()[0]));
+        assert_eq!(hits(&Pred::contains("features", "abs"), &r), vec![true]);
+        assert_eq!(hits(&Pred::contains("features", "diesel"), &r), vec![false]);
+        assert_eq!(hits(&Pred::contains("features", ""), &r), vec![true]);
+        assert_eq!(hits(&Pred::contains("features", "ROOF, abs"), &r), vec![true]);
+    }
+
+    #[test]
+    fn resolve_reports_the_first_missing_attribute_in_attrs_order() {
+        let r = rel();
+        let p = Pred::and(vec![Pred::eq("make", "ford"), Pred::attr_lt("nosuch", "other")]);
+        assert_eq!(p.resolve(r.schema()).map(|_| ()), Err(&Attr::new("nosuch")));
+        assert_eq!(p.attrs()[1], Attr::new("nosuch"));
     }
 
     #[test]

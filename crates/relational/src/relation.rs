@@ -8,13 +8,17 @@
 //! the index for that relation alone (`Arc::make_mut`; the tuples stay
 //! shared). A write through one handle is never visible through
 //! another, so caches can hand the same relation to many readers.
+//!
+//! The index is built on first need — a `push`, a membership test or a
+//! comparison — so a relation made from tuples already known distinct
+//! (a selection's survivors, say) and only ever read hashes nothing.
 
 use crate::schema::{Attr, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A tuple: values positionally aligned with a [`Schema`]. Clones share
 /// the values; equality and hashing are by value.
@@ -51,19 +55,33 @@ impl Tuple {
 /// A relation: a schema plus a deduplicated set of tuples.
 ///
 /// Insertion order is preserved (useful for stable test output); set
-/// semantics are enforced with a hash index. Clones share the tuple
-/// list and the index until one of them is written.
+/// semantics are enforced with a hash index, built on first need.
+/// Clones share the tuple list and the index until one of them is
+/// written.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
     tuples: Arc<Vec<Tuple>>,
     #[serde(skip)]
-    seen: Arc<HashSet<Tuple>>,
+    seen: Arc<OnceLock<HashSet<Tuple>>>,
 }
 
 impl Relation {
     pub fn new(schema: Schema) -> Relation {
         Relation { schema, tuples: Arc::default(), seen: Arc::default() }
+    }
+
+    /// A relation over `tuples`, which the caller knows to be distinct
+    /// and of the schema's arity (a subset of one relation's tuples, in
+    /// its order): nothing is hashed until the index is needed.
+    pub fn from_distinct(schema: Schema, tuples: Vec<Tuple>) -> Relation {
+        debug_assert!(tuples.iter().all(|t| t.len() == schema.len()));
+        Relation { schema, tuples: Arc::new(tuples), seen: Arc::default() }
+    }
+
+    /// The dedup index, built from the tuples on first use.
+    fn index(&self) -> &HashSet<Tuple> {
+        self.seen.get_or_init(|| self.tuples.iter().cloned().collect())
     }
 
     /// Build a relation from rows; arity mismatches panic (construction
@@ -108,21 +126,26 @@ impl Relation {
             self.schema
         );
         // A duplicate never unshares; a new tuple is hashed once.
-        if Arc::get_mut(&mut self.seen).is_none() && self.seen.contains(&t) {
+        if Arc::get_mut(&mut self.seen).is_none() && self.index().contains(&t) {
             return;
         }
-        if Arc::make_mut(&mut self.seen).insert(t.clone()) {
+        self.index();
+        let seen = Arc::make_mut(&mut self.seen).get_mut().expect("index built above");
+        if seen.insert(t.clone()) {
             Arc::make_mut(&mut self.tuples).push(t);
         }
     }
 
-    /// Value of attribute `a` in tuple `t` (must belong to this schema).
-    pub fn value<'t>(&self, t: &'t Tuple, a: &Attr) -> &'t Value {
-        let idx = self
-            .schema
-            .index_of(a)
-            .unwrap_or_else(|| panic!("attribute {a} not in schema {}", self.schema));
-        t.get(idx)
+    /// Is `t` one of this relation's tuples?
+    pub fn contains(&self, t: &Tuple) -> bool {
+        self.index().contains(t)
+    }
+
+    /// The same tuples under another schema of the same arity (a
+    /// rename): the tuple list and index are shared, not rebuilt.
+    pub fn with_schema(self, schema: Schema) -> Relation {
+        assert_eq!(schema.len(), self.schema.len(), "renaming cannot change arity");
+        Relation { schema, ..self }
     }
 
     /// Iterate `(attr, value)` pairs of a tuple.
@@ -171,7 +194,7 @@ impl PartialEq for Relation {
         self.schema == other.schema
             && (Arc::ptr_eq(&self.tuples, &other.tuples)
                 || self.tuples.len() == other.tuples.len()
-                    && self.tuples.iter().all(|t| other.seen.contains(t)))
+                    && self.tuples.iter().all(|t| other.index().contains(t)))
     }
 }
 
@@ -209,12 +232,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut r = rel();
         r.push(Tuple::from_values([Value::Int(1)]));
-    }
-
-    #[test]
-    fn value_by_attr() {
-        let r = rel();
-        assert_eq!(r.value(&r.tuples()[1], &"price".into()), &Value::Int(9000));
     }
 
     #[test]

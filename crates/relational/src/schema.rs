@@ -1,21 +1,38 @@
 //! Attribute names and relation schemas.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
 /// An attribute name. Comparison is case-sensitive; the logical layer's
 /// standardisation pass is responsible for canonicalising names across
-/// sites before they meet in a schema.
+/// sites before they meet in a schema. The name is shared, so copying
+/// an attribute into a schema, an access spec or a memo key bumps a
+/// reference count instead of allocating.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Attr(String);
+pub struct Attr(Arc<str>);
 
 impl Attr {
-    pub fn new(name: impl Into<String>) -> Attr {
-        Attr(name.into())
+    pub fn new(name: impl AsRef<str>) -> Attr {
+        Attr(Arc::from(name.as_ref()))
     }
 
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Ordered and hashed like the name itself, so maps keyed by `Attr`
+/// can be probed with a `&str`.
+impl Borrow<str> for Attr {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for Attr {
+    fn as_ref(&self) -> &str {
         &self.0
     }
 }
@@ -34,7 +51,7 @@ impl From<&str> for Attr {
 
 impl From<String> for Attr {
     fn from(s: String) -> Attr {
-        Attr(s)
+        Attr(s.into())
     }
 }
 

@@ -348,8 +348,9 @@ proptest! {
         // For each input tuple, find it in the output and compare the
         // computed column.
         let ci = out.schema().index_of(&"c".into()).expect("c");
+        let resolved = f.resolve(r.schema()).expect("formula reads r's attributes");
         for t in r.tuples() {
-            let expected = f.eval_value(&r, t);
+            let expected = resolved.eval_value(t);
             let found = out
                 .tuples()
                 .iter()
@@ -380,5 +381,66 @@ proptest! {
         p2.add("r", r);
         let v2 = Evaluator::new(&mut p2).eval(&o, &AccessSpec::new()).expect("opt");
         prop_assert_eq!(v1, v2, "{} vs {}", e, o);
+    }
+}
+
+/// A random access spec: a few constants on attributes the expressions
+/// below read, compute or rename.
+fn arb_spec() -> impl Strategy<Value = AccessSpec> {
+    let attr = proptest::sample::select(vec!["k", "a", "b", "c", "key"]);
+    proptest::collection::vec((attr, 0i64..5), 0..4).prop_map(|consts| {
+        consts.into_iter().fold(AccessSpec::new(), |spec, (a, v)| spec.with(a, Value::Int(v)))
+    })
+}
+
+proptest! {
+    /// One compiled expression evaluated under many access specs in
+    /// sequence — specs binding different attribute sets, over a
+    /// provider where `rb` may need `k` bound (so joins go dependent) —
+    /// answers call by call exactly what a fresh evaluation compiled for
+    /// that call answers, tuple order and invocations included: no state
+    /// leaks from one invocation into the next.
+    #[test]
+    fn a_compiled_expression_reused_across_specs_matches_fresh_evaluations(
+        e in arb_expr(),
+        wrap in 0u8..3,
+        ra in small_relation(&["k", "a"]),
+        rb in small_relation(&["k", "b"]),
+        rb_needs_k in any::<bool>(),
+        specs in proptest::collection::vec(arb_spec(), 1..8),
+    ) {
+        use webbase_relational::arith::ArithExpr;
+        use webbase_relational::eval::CompiledExpr;
+        let e = match wrap {
+            0 => e,
+            1 => e.extend("c", ArithExpr::attr("k") + ArithExpr::constant(1.0)),
+            _ => e.rename([("k", "key")]),
+        };
+        let provider = || {
+            let mut p = MemoryProvider::new();
+            p.add("ra", ra.clone());
+            if rb_needs_k {
+                p.add_with_bindings("rb", rb.clone(), BindingSet::from_attr_lists([vec!["k"]]));
+            } else {
+                p.add("rb", rb.clone());
+            }
+            p
+        };
+        let mut reused = provider();
+        let compiled = CompiledExpr::new(&e, &reused, false);
+        for spec in &specs {
+            let mark = reused.fetch_log.len();
+            let got = Evaluator::new(&mut reused).eval_compiled(&e, &compiled, spec);
+            let mut fresh = provider();
+            let want = Evaluator::new(&mut fresh).eval(&e, spec);
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    prop_assert_eq!(g.schema(), w.schema(), "{} under {}", e, spec);
+                    prop_assert_eq!(g.tuples(), w.tuples(), "{} under {}", e, spec);
+                }
+                _ => prop_assert_eq!(&got, &want, "{} under {}", e, spec),
+            }
+            prop_assert_eq!(&reused.fetch_log[mark..], &fresh.fetch_log[..], "{} under {}", e, spec);
+        }
     }
 }

@@ -22,13 +22,14 @@ use crate::compat::CompatRules;
 use crate::hierarchy::Hierarchy;
 use crate::maximal::{compatible_sets, AltSet};
 use crate::query::UrQuery;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use webbase_logical::{
     BudgetSnapshot, BudgetTracker, LogicalLayer, Obs, ResumeToken, SpanHandle, SpanKind,
     QUERY_TRACK,
 };
-use webbase_relational::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
+use webbase_relational::eval::{AccessSpec, CompiledExpr, EvalError, Evaluator, RelationProvider};
 use webbase_relational::ordering::{order_exact, JoinInput};
 use webbase_relational::{Attr, Expr, Pred, Relation, Schema};
 
@@ -37,6 +38,30 @@ use webbase_relational::{Attr, Expr, Pred, Relation, Schema};
 pub struct PlannedObject {
     pub alternatives: AltSet,
     pub expr: Expr,
+    /// `expr` compiled over the layer it runs on, derived by its first
+    /// evaluation and shared by every clone and later run of the plan.
+    compiled: OnceLock<Arc<CompiledExpr>>,
+}
+
+impl PlannedObject {
+    pub fn new(alternatives: AltSet, expr: Expr) -> PlannedObject {
+        PlannedObject { alternatives, expr, compiled: OnceLock::new() }
+    }
+
+    /// Evaluate this object's expression over `layer`, compiling it on
+    /// the first call. Every later call must run over a layer with the
+    /// same schemas and handles — the condition under which a plan may
+    /// be reused at all (see [`UrPlanner::execute_planned`]).
+    pub fn eval(&self, layer: &mut LogicalLayer) -> Result<Relation, EvalError> {
+        let compiled =
+            self.compiled.get_or_init(|| Arc::new(CompiledExpr::new(&self.expr, &*layer, false)));
+        Evaluator::new(layer).eval_compiled(&self.expr, compiled, &AccessSpec::new())
+    }
+
+    /// The compiled expression, once an evaluation has derived it.
+    pub fn compiled(&self) -> Option<&Arc<CompiledExpr>> {
+        self.compiled.get()
+    }
 }
 
 /// A full UR plan.
@@ -249,7 +274,7 @@ impl UrPlanner {
         let mut skipped = Vec::new();
         for set in minimal {
             match self.object_expr(&set, query, layer, &constants) {
-                Ok(expr) => objects.push(PlannedObject { alternatives: set, expr }),
+                Ok(expr) => objects.push(PlannedObject::new(set, expr)),
                 Err(reason) => skipped.push((set, reason)),
             }
         }
@@ -442,7 +467,7 @@ impl UrPlanner {
             }
         }
         let plan = planned?;
-        self.run_plan(query, plan, layer, resume, &obs, root)
+        self.run_plan(query, Cow::Owned(plan), layer, resume, &obs, root)
     }
 
     /// Execute a *previously computed* plan, skipping the planning
@@ -469,13 +494,15 @@ impl UrPlanner {
         } else {
             SpanHandle::INERT
         };
-        self.run_plan(query, plan.clone(), layer, None, &obs, root)
+        // Borrowed, so the objects compile into the caller's plan and
+        // every later run of it reuses them.
+        self.run_plan(query, Cow::Borrowed(plan), layer, None, &obs, root)
     }
 
     fn run_plan(
         &self,
         query: &UrQuery,
-        mut plan: UrPlan,
+        plan: Cow<'_, UrPlan>,
         layer: &mut LogicalLayer,
         resume: Option<&ResumeToken>,
         obs: &Obs,
@@ -497,6 +524,7 @@ impl UrPlanner {
         let degradation_before = layer.vps.degradation();
         let repairs_before = layer.vps.repairs();
         let mut result: Option<Relation> = None;
+        let mut object_results = Vec::with_capacity(plan.objects.len());
         for obj in &plan.objects {
             let obj_span = if obs.tracing() {
                 let names: Vec<&str> = obj.alternatives.iter().map(String::as_str).collect();
@@ -505,7 +533,7 @@ impl UrPlanner {
             } else {
                 SpanHandle::INERT
             };
-            let evaled = Evaluator::new(layer).eval(&obj.expr, &AccessSpec::new());
+            let evaled = obj.eval(layer);
             if obs.tracing() {
                 obs.sink.advance(QUERY_TRACK, layer.vps.stats.total_network());
                 match &evaled {
@@ -516,7 +544,7 @@ impl UrPlanner {
                 }
             }
             let rel = evaled?;
-            plan.object_results.push(rel.clone());
+            object_results.push(rel.clone());
             result = Some(match result {
                 None => rel,
                 Some(mut acc) => {
@@ -534,6 +562,8 @@ impl UrPlanner {
                 }
             });
         }
+        let mut plan = plan.into_owned();
+        plan.object_results = object_results;
         plan.degradation = layer.vps.degradation().since(&degradation_before);
         plan.repairs = layer.vps.repairs().since(&repairs_before);
         if let Some(tracker) = tracker {

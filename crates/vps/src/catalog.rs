@@ -13,7 +13,7 @@
 use crate::handle::{derive_handles, Handle};
 use crate::memo::{AnswerMemo, Invocation, MemoClaim, MemoKey, Provenance};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use webbase_navigation::budget::{BudgetTracker, JournalEntry, NavPosition, ResumeToken};
 use webbase_navigation::executor::SiteNavigator;
@@ -79,13 +79,17 @@ struct ShapeRelation {
     site: usize,
     schema: Schema,
     handles: Vec<Handle>,
+    /// The handles' mandatory sets as a §5 binding set, derived on
+    /// first use.
+    bindings: OnceLock<BindingSet>,
 }
 
 /// The query-independent part of a VPS catalog (Table 1): built once
 /// per corpus, shared behind an `Arc` by every query's [`VpsCatalog`].
 pub struct CatalogShape {
     sites: Vec<ShapeSite>,
-    relations: HashMap<String, ShapeRelation>,
+    /// Keyed by the relation's name, which memo keys share.
+    relations: HashMap<Arc<str>, ShapeRelation>,
     /// Registration order, for stable Table 1 output.
     order: Vec<String>,
     /// The pre-flight static analysis of every loaded map, accumulated
@@ -143,9 +147,10 @@ impl CatalogShape {
                 "relation {} has no handle — was its data node registered?",
                 rel.name
             );
-            let prev = self
-                .relations
-                .insert(rel.name.clone(), ShapeRelation { site, schema, handles: rel_handles });
+            let prev = self.relations.insert(
+                rel.name.as_str().into(),
+                ShapeRelation { site, schema, handles: rel_handles, bindings: OnceLock::new() },
+            );
             assert!(prev.is_none(), "duplicate VPS relation {}", rel.name);
             self.order.push(rel.name.clone());
         }
@@ -209,7 +214,7 @@ impl CatalogShape {
     pub fn render_table1(&self) -> String {
         let mut out = String::from("VPS-level relations\n");
         for name in &self.order {
-            let r = &self.relations[name];
+            let r = &self.relations[name.as_str()];
             out.push_str(&format!(
                 "  {name}{}   [site: {}]\n",
                 r.schema, self.sites[r.site].map.site
@@ -229,7 +234,7 @@ impl CatalogShape {
         };
         let mut out = String::from("VPS handles: mandatory | optional\n");
         for name in &self.order {
-            for h in &self.relations[name].handles {
+            for h in &self.relations[name.as_str()].handles {
                 out.push_str(&format!(
                     "  {name}: {{{}}} | {{{}}}\n",
                     fmt_set(&h.mandatory),
@@ -446,7 +451,7 @@ impl VpsCatalog {
     /// and leaves the same provenance as the evaluation it skipped.
     pub fn derived(
         &mut self,
-        relation: &str,
+        relation: &Arc<str>,
         spec: &AccessSpec,
         relaxed: bool,
         eval: impl FnOnce(&mut VpsCatalog) -> Result<Relation, EvalError>,
@@ -458,9 +463,8 @@ impl VpsCatalog {
         // The spec iterates in attribute order, so the bindings are
         // already canonical. Relation names are identifiers, so the
         // relaxed suffix cannot collide with a strict key.
-        let name = if relaxed { format!("{relation} (relaxed)") } else { relation.to_string() };
-        let key: MemoKey =
-            (name, spec.iter().map(|(a, v)| (a.as_str().to_string(), v.clone())).collect());
+        let name = if relaxed { format!("{relation} (relaxed)").into() } else { relation.clone() };
+        let key: MemoKey = (name, spec.iter().map(|(a, v)| (a.clone(), v.clone())).collect());
         let guard = match memo.claim(&key) {
             MemoClaim::Hit(rel, provenance) => {
                 self.replay(relation, spec, &rel, &provenance);
@@ -471,7 +475,7 @@ impl VpsCatalog {
         let mark = self.invocation_log.len();
         // An error returns here and drops the guard, releasing the key.
         let rel = eval(self)?;
-        let clean = self.built().all(|nav| nav.degradation().is_clean())
+        let clean = self.built().all(|nav| nav.is_clean())
             && !self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
         if clean {
             let calls: Arc<[Invocation]> = self.invocation_log[mark..].into();
@@ -571,7 +575,7 @@ impl VpsCatalog {
         let mut site_order: Vec<usize> = Vec::new();
         let mut queues: HashMap<usize, VecDeque<usize>> = HashMap::new();
         for (i, (name, _)) in jobs.iter().enumerate() {
-            match self.shape.relations.get(name) {
+            match self.shape.relations.get(name.as_str()) {
                 Some(r) => {
                     if !queues.contains_key(&r.site) {
                         site_order.push(r.site);
@@ -605,43 +609,47 @@ impl RelationProvider for VpsCatalog {
 
     fn bindings(&self, name: &str) -> Option<BindingSet> {
         let r = self.shape.relations.get(name)?;
-        Some(BindingSet::from_bindings(
-            r.handles
-                .iter()
-                .map(|h| h.mandatory.iter().map(|a| Attr::new(a.clone())).collect::<Binding>()),
-        ))
+        let derive = || {
+            BindingSet::from_bindings(
+                r.handles.iter().map(|h| h.mandatory.iter().map(Attr::new).collect::<Binding>()),
+            )
+        };
+        Some(r.bindings.get_or_init(derive).clone())
     }
 
     fn fetch(&mut self, name: &str, spec: &AccessSpec) -> Result<Relation, EvalError> {
         // A handle on the shape, so the entry stays borrowed while the
         // navigator slot below is filled.
         let shape = self.shape.clone();
-        let e = shape
+        let (relation, e) = shape
             .relations
-            .get(name)
+            .get_key_value(name)
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
         let host = &shape.sites[e.site].map.site;
-        let available = spec.attrs();
         // Pick a handle whose mandatory set is covered; among those,
         // prefer the one that can *use* the most of the supplied values
-        // (fewer tuples fetched and filtered).
+        // (fewer tuples fetched and filtered). Attribute names probe
+        // the spec as they are: nothing is allocated to choose.
+        let bound = |a: &String| spec.get(a.as_str()).is_some();
         let handle = e
             .handles
             .iter()
-            .filter(|h| h.mandatory.iter().all(|a| available.contains(&Attr::new(a.clone()))))
-            .max_by_key(|h| {
-                h.selection.iter().filter(|a| available.contains(&Attr::new((*a).clone()))).count()
-            })
+            .filter(|h| h.mandatory.iter().all(bound))
+            .max_by_key(|h| h.selection.iter().filter(|a| bound(a)).count())
             .ok_or_else(|| EvalError::UnboundAccess {
                 relation: name.to_string(),
                 available: spec.to_string(),
             })?;
-        // Pass every supplied constant the handle can use.
-        let given: Vec<(String, Value)> = spec
+        // Pass every supplied constant the handle can use. The spec
+        // iterates in attribute order, so these are the memo key's
+        // canonical bindings as they stand.
+        let given: Vec<(Attr, Value)> = spec
             .iter()
             .filter(|(a, _)| handle.selection.contains(a.as_str()))
-            .map(|(a, v)| (a.as_str().to_string(), v.clone()))
+            .map(|(a, v)| (a.clone(), v.clone()))
             .collect();
+        let key: Arc<MemoKey> = Arc::new((relation.clone(), given));
+        let given = &key.1;
         // Shared answer memo, unbudgeted invocations only: a budgeted
         // run must do its own admission/journalling/position work. The
         // claim is singleflight: under a concurrent herd one session
@@ -650,7 +658,6 @@ impl RelationProvider for VpsCatalog {
         // Where this session's page reads stood before the invocation:
         // everything recorded past this mark is what the invocation read.
         let read_mark = self.reads.as_ref().map(ReadSet::len).unwrap_or(0);
-        let key = AnswerMemo::key(name, &given);
         let memo_lead = match (&self.memo, &self.budget) {
             (Some(memo), None) => match memo.claim(&key) {
                 MemoClaim::Hit(rel, provenance) => {
@@ -679,8 +686,8 @@ impl RelationProvider for VpsCatalog {
                             ],
                         );
                     }
-                    *self.stats.invocations.entry(name.to_string()).or_default() += 1;
-                    self.invocation_log.push((Arc::new(key), deps));
+                    bump(&mut self.stats.invocations, name, 1);
+                    self.invocation_log.push((key, deps));
                     return Ok(rel);
                 }
                 // Held through the computation below; an early
@@ -712,7 +719,7 @@ impl RelationProvider for VpsCatalog {
             .budget
             .as_ref()
             .map(|b| b.snapshot().sites.values().map(|s| s.denied).sum::<u64>());
-        let (records, run) = match navigator.run_relation(name, &given) {
+        let (records, run) = match navigator.run_rows(name, given) {
             Ok(out) => out,
             Err(err) => {
                 if self.obs.tracing() {
@@ -727,25 +734,36 @@ impl RelationProvider for VpsCatalog {
             // not truncate the invocation: resuming replays exactly the
             // completed work, and the truncated tail re-runs.
             if after == before {
-                self.positions
-                    .push(NavPosition { relation: name.to_string(), given: given.clone() });
+                self.positions.push(NavPosition {
+                    relation: name.to_string(),
+                    given: given.iter().map(|(a, v)| (a.to_string(), v.clone())).collect(),
+                });
             }
             budget.mark_served(host);
         }
-        *self.stats.invocations.entry(name.to_string()).or_default() += 1;
-        *self.stats.pages.entry(name.to_string()).or_default() += run.pages_fetched;
-        *self.stats.retries.entry(name.to_string()).or_default() += run.retries;
-        *self.stats.network.entry(name.to_string()).or_default() += run.network;
-        *self.stats.cpu.entry(name.to_string()).or_default() += run.cpu;
+        bump(&mut self.stats.invocations, name, 1);
+        bump(&mut self.stats.pages, name, run.pages_fetched);
+        bump(&mut self.stats.retries, name, run.retries);
+        bump(&mut self.stats.network, name, run.network);
+        bump(&mut self.stats.cpu, name, run.cpu);
 
+        // Each schema attribute's column in the navigator's rows (the
+        // same order, for a relation compiled from this shape's map).
+        let cols: Vec<Option<usize>> = e
+            .schema
+            .attrs()
+            .iter()
+            .map(|a| records.attrs.iter().position(|r| r == a.as_str()))
+            .collect();
+        let aligned = cols.len() == records.attrs.len()
+            && cols.iter().enumerate().all(|(i, &c)| c == Some(i));
         let mut rel = Relation::new(e.schema.clone());
-        for rec in records {
-            rel.push(Tuple::from_values(
-                e.schema
-                    .attrs()
-                    .iter()
-                    .map(|a| rec.get(a.as_str()).cloned().unwrap_or(Value::Null)),
-            ));
+        for row in records.rows {
+            rel.push(if aligned {
+                Tuple::from_values(row)
+            } else {
+                Tuple::from_values(cols.iter().map(|c| c.map_or(Value::Null, |i| row[i].clone())))
+            });
         }
         self.obs.count_n(Metric::TuplesEmitted, rel.len() as u64);
         if self.obs.tracing() {
@@ -769,12 +787,23 @@ impl RelationProvider for VpsCatalog {
         // replayed to other queries as complete. Settling `None` still
         // releases the key and wakes waiting sessions.
         if let Some(guard) = memo_lead {
-            let clean = navigator.degradation().is_clean();
+            let clean = navigator.is_clean();
             let provenance = deps.clone().map_or(Provenance::Unknown, Provenance::Pages);
             guard.settle(clean.then(|| rel.clone()), provenance);
         }
-        self.invocation_log.push((Arc::new(key), deps.unwrap_or_else(|| Arc::from([]))));
+        self.invocation_log.push((key, deps.unwrap_or_else(|| Arc::from([]))));
         Ok(rel)
+    }
+}
+
+/// Add `by` to `name`'s per-relation counter, allocating the name only
+/// on its first invocation.
+fn bump<T: std::ops::AddAssign + Default>(map: &mut HashMap<String, T>, name: &str, by: T) {
+    match map.get_mut(name) {
+        Some(n) => *n += by,
+        None => {
+            map.insert(name.to_string(), by);
+        }
     }
 }
 
@@ -959,6 +988,7 @@ mod tests {
     }
 
     const FORD: (&str, &str) = ("make", "ford");
+    const ADS: &str = "ads";
 
     #[test]
     fn navigators_are_built_on_first_invocation() {
@@ -1030,16 +1060,22 @@ mod tests {
         // newsdayCarFeatures invocation per ad.
         let ads = Expr::relation("newsday").join(Expr::relation("newsdayCarFeatures"));
         let (mut cold, cold_reads) = shared_session(&shape, &memo, &logical);
-        let answer =
-            cold.derived("ads", &spec, false, |vps| Evaluator::new(vps).eval(&ads, &spec)).unwrap();
+        let answer = cold
+            .derived(&ADS.into(), &spec, false, |vps| Evaluator::new(vps).eval(&ads, &spec))
+            .unwrap();
         assert!(cold.invocation_log().len() > 2, "the join invokes its inner side per ad");
 
         let (mut warm, warm_reads) = shared_session(&shape, &memo, &logical);
         let vps_before = (memo.hits(), memo.misses());
         let hit = warm
-            .derived("ads", &spec, false, |_: &mut VpsCatalog| -> Result<Relation, EvalError> {
-                panic!("a settled logical invocation was evaluated again")
-            })
+            .derived(
+                &ADS.into(),
+                &spec,
+                false,
+                |_: &mut VpsCatalog| -> Result<Relation, EvalError> {
+                    panic!("a settled logical invocation was evaluated again")
+                },
+            )
             .expect("hits");
         assert_eq!(hit, answer);
         assert_eq!((memo.hits(), memo.misses()), vps_before, "the hit ran no VPS invocation");
@@ -1055,7 +1091,7 @@ mod tests {
 
         // The relaxed-union flag is part of the key.
         let mut relaxed = 0;
-        warm.derived("ads", &spec, true, |vps| {
+        warm.derived(&ADS.into(), &spec, true, |vps| {
             relaxed += 1;
             Evaluator::new(vps).with_relaxed_union(true).eval(&ads, &spec)
         })
@@ -1075,7 +1111,7 @@ mod tests {
         let (shape, _, _) = fixture();
         let (mut cat, _) = shared_session(&shape, &memo, &logical);
         cat.set_budget(Arc::new(BudgetTracker::new(QueryBudget::unlimited())));
-        cat.derived("ads", &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
+        cat.derived(&ADS.into(), &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
         assert_eq!((logical.hits(), logical.misses(), logical.len()), (0, 0, 0));
 
         // Maps recorded on the healthy web, served by one failing every
@@ -1090,7 +1126,7 @@ mod tests {
         let (map, _) = Recorder::record(healthy, host, &session).expect("records");
         broken.add_map(failing, map).expect("a recorded map compiles");
         let (mut cat, _) = shared_session(&Arc::new(broken), &memo, &logical);
-        let _ = cat.derived("ads", &spec, false, |vps| vps.fetch("newsday", &spec));
+        let _ = cat.derived(&ADS.into(), &spec, false, |vps| vps.fetch("newsday", &spec));
         assert!(!cat.degradation().is_clean(), "every fetch failed");
         assert_eq!(logical.misses(), 1, "the degraded run led the key");
         assert!(logical.is_empty(), "a degraded evaluation settled an answer");
@@ -1113,7 +1149,7 @@ mod tests {
         let mut cat = VpsCatalog::over(shape, store.clone(), None);
         cat.set_memos(memo.clone(), logical.clone());
         let spec = AccessSpec::new().with(FORD.0, FORD.1);
-        cat.derived("ads", &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
+        cat.derived(&ADS.into(), &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
         assert_eq!((memo.len(), logical.len()), (1, 1));
         // Drift on a page neither answer could have read still evicts
         // both: unknown provenance never outlives a drift event.

@@ -23,11 +23,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use webbase_navigation::store::{PageId, PageSet};
 use webbase_obs::sync::{Flight, FlightGuard, SafeRwLock, Singleflight};
-use webbase_relational::{Relation, Value};
+use webbase_relational::{Attr, Relation, Value};
 
 /// Memo key: relation name + the access-spec bindings, sorted by
-/// attribute so equivalent specs collide.
-pub type MemoKey = (String, Vec<(String, Value)>);
+/// attribute so equivalent specs collide. Both names are shared, so a
+/// key built from a catalog's relation and a spec's attributes copies
+/// no string.
+pub type MemoKey = (Arc<str>, Vec<(Attr, Value)>);
 
 /// One VPS invocation as provenance: its memo key and the ids of the
 /// pages it read (empty when they are unknown). Both halves are shared
@@ -122,10 +124,10 @@ impl AnswerMemo {
     }
 
     /// Build the canonical key for an invocation.
-    pub fn key(relation: &str, given: &[(String, Value)]) -> MemoKey {
+    pub fn key(relation: &str, given: &[(Attr, Value)]) -> MemoKey {
         let mut bindings = given.to_vec();
         bindings.sort_by(|a, b| a.0.cmp(&b.0));
-        (relation.to_string(), bindings)
+        (relation.into(), bindings)
     }
 
     pub fn get(&self, key: &MemoKey) -> Option<Relation> {
@@ -147,6 +149,12 @@ impl AnswerMemo {
     /// (freshness re-checks must not distort cache accounting).
     pub fn peek(&self, key: &MemoKey) -> Option<Relation> {
         self.inner.answers.read().get(key).map(|e| e.answer.clone())
+    }
+
+    /// Count a hit served by a [`AnswerMemo::peek`] (a caller that vets
+    /// an entry before serving it counts only what it serves).
+    pub fn count_hit(&self) {
+        self.inner.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Evict one entry (its answer and deps). Returns whether an answer
@@ -330,11 +338,11 @@ mod tests {
     fn key_normalises_binding_order() {
         let a = AnswerMemo::key(
             "r",
-            &[("b".to_string(), Value::str("2")), ("a".to_string(), Value::str("1"))],
+            &[(Attr::new("b"), Value::str("2")), (Attr::new("a"), Value::str("1"))],
         );
         let b = AnswerMemo::key(
             "r",
-            &[("a".to_string(), Value::str("1")), ("b".to_string(), Value::str("2"))],
+            &[(Attr::new("a"), Value::str("1")), (Attr::new("b"), Value::str("2"))],
         );
         assert_eq!(a, b);
     }
@@ -377,7 +385,7 @@ mod tests {
     #[test]
     fn claim_coalesces_a_concurrent_herd_onto_one_leader() {
         let memo = AnswerMemo::new();
-        let key = AnswerMemo::key("r", &[("a".to_string(), Value::str("1"))]);
+        let key = AnswerMemo::key("r", &[(Attr::new("a"), Value::str("1"))]);
         let leader = match memo.claim(&key) {
             MemoClaim::Leader(guard) => guard,
             MemoClaim::Hit(..) => panic!("empty memo cannot hit"),
@@ -559,7 +567,7 @@ mod tests {
         // A hit hands back the invocation list it was settled with.
         match memo.claim(&joined) {
             MemoClaim::Hit(_, Provenance::Invocations(calls)) => {
-                let rels: Vec<&str> = calls.iter().map(|(k, _)| k.0.as_str()).collect();
+                let rels: Vec<&str> = calls.iter().map(|(k, _)| &*k.0).collect();
                 assert_eq!(rels, ["r_a", "r_b"]);
             }
             other => panic!("settled with invocations: {other:?}"),

@@ -448,3 +448,133 @@ fn hostile_journals_recover_or_fail_cleanly_never_panic() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(journal_path("hostile-seed"));
 }
+
+// ── hostile queries: a seeded mutation battery ────────────────────────
+
+/// Mutated UR queries planned per seed, the ones that plan executed (up
+/// to the cap), and mutated §7 SELECTs run per seed.
+const QUERY_INPUTS: usize = 2000;
+const QUERY_RUNS: usize = 200;
+const SELECT_INPUTS: usize = 500;
+
+/// The paper's four query shapes (perfbench's paper-mix pool draws from
+/// the same ones).
+const QUERY_SHAPES: [&str; 4] = [
+    JAGUAR_QUERY,
+    "UsedCarUR(make='ford', model, year >= 1990, price, bbprice, rate, zip='10001', \
+     duration=36, condition='good', payment := price * (1 + rate / 100 * duration / 12) / \
+     duration) WHERE payment < 1000 AND price < bbprice",
+    "UsedCarUR(make='jaguar', model='xj6', year >= 1993, price)",
+    FORD,
+];
+
+/// §7 SELECTs over logical and VPS relations.
+const SELECTS: [(&str, &str); 4] = [
+    ("classifieds", common::FORD_SELECT),
+    ("classifieds", "SELECT make, model, year, price, contact WHERE make=jaguar AND year >= 1993"),
+    ("newsday", "SELECT make, model, price, url WHERE make=ford AND price < 5000"),
+    ("kellys", "SELECT year, bbprice WHERE make=ford AND model=escort AND condition=good"),
+];
+
+/// Names a mutation may swap in for an identifier: UR attributes,
+/// relations, keywords and near misses.
+const NAMES: [&str; 20] = [
+    "make",
+    "model",
+    "year",
+    "price",
+    "bbprice",
+    "safety",
+    "condition",
+    "rate",
+    "zip",
+    "duration",
+    "payment",
+    "url",
+    "features",
+    "contact",
+    "classifieds",
+    "newsday",
+    "WHERE",
+    "AND",
+    "nosuch",
+    "price_",
+];
+
+/// The journal mutator's byte, line and digit-run edits, or one
+/// identifier replaced by a name from [`NAMES`].
+fn mutate_text(rng: &mut GenRng, text: &str) -> String {
+    if rng.chance(1, 2) {
+        return String::from_utf8_lossy(&mutate(rng, text.as_bytes())).into_owned();
+    }
+    let bytes = text.as_bytes();
+    let mut idents = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && (bytes[i].is_ascii_alphabetic() || bytes[i] == b'_') {
+            i += 1;
+        }
+        if i > start {
+            idents.push((start, i));
+        }
+        i += 1;
+    }
+    let mut out = text.to_string();
+    if let Some(&(start, end)) = idents.get(rng.below(idents.len().max(1))) {
+        let name: &&str = rng.pick(&NAMES);
+        out.replace_range(start..end, name);
+    }
+    out
+}
+
+/// Run `f` on `input`, failing the test with the seed and input if it
+/// panics.
+fn never_panics<T>(what: &str, input: &str, f: impl FnOnce() -> T) -> T {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(out) => out,
+        Err(_) => panic!("seed {}: {what} panicked on {input:?}", seed()),
+    }
+}
+
+#[test]
+fn hostile_queries_and_selects_answer_or_fail_cleanly_never_panic() {
+    let engine = engine();
+    let mut rng = GenRng::new(seed() ^ 0x0bad_cafe);
+    let (mut planned, mut ran) = (0usize, 0usize);
+    for _ in 0..QUERY_INPUTS {
+        let shape = *rng.pick(&QUERY_SHAPES);
+        let text = mutate_text(&mut rng, shape);
+        let plan = never_panics("explain", &text, || engine.explain(&text));
+        if plan.is_ok() {
+            planned += 1;
+            if ran < QUERY_RUNS {
+                ran += 1;
+                // Ok or Err, never a panic: the engine's own containment
+                // would turn one into `Panicked`, which fails here too.
+                let out = never_panics("query", &text, || {
+                    engine.query("t", &text, QueryOptions::default())
+                });
+                if let Err(EngineError::Panicked(failure)) = out {
+                    panic!("seed {}: query panicked on {text:?}: {failure:?}", seed());
+                }
+            }
+        }
+    }
+    assert!(planned > 0 && ran > 0, "no mutated query planned ({planned}) or ran ({ran})");
+    assert_eq!(engine.stats().panics, 0);
+
+    let mut webbase = webbase::Webbase::build_demo(seed(), 400, LatencyModel::lan());
+    let mut answered = 0usize;
+    for _ in 0..SELECT_INPUTS {
+        let (relation, sql) = *rng.pick(&SELECTS);
+        let relation =
+            if rng.chance(1, 8) { mutate_text(&mut rng, relation) } else { relation.to_string() };
+        let sql = mutate_text(&mut rng, sql);
+        let input = format!("{relation}: {sql}");
+        if never_panics("select", &input, || webbase.select(&relation, &sql)).is_ok() {
+            answered += 1;
+        }
+    }
+    assert!(answered > 0, "no mutated SELECT answered");
+}

@@ -209,7 +209,7 @@ fn a_herd_on_one_logical_invocation_evaluates_it_once() {
             let (mut layer, _) = engine.session(false);
             layer
                 .vps
-                .derived("classifieds", &spec, false, |vps| {
+                .derived(&"classifieds".into(), &spec, false, |vps| {
                     evaluations.fetch_add(1, Ordering::SeqCst);
                     leading.store(true, Ordering::SeqCst);
                     let deadline = Instant::now() + Duration::from_secs(30);
