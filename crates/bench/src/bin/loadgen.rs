@@ -40,11 +40,13 @@
 //! The freshness flags benchmark the result cache under drift instead:
 //! `--drift-rate R` mutates the NYTimes site under roughly `R` drift
 //! events per query and runs the workload twice — once with
-//! incremental view maintenance (`engine.refresh`: sweep + the delta /
-//! cold-rebuild ladder) and once with sweep-only invalidation (views
-//! evicted, every refresh paid as a cold recompute on the next miss) —
-//! reporting `stale_hits` (served stale answers: must be 0) and
-//! `refreshes` (delta/cold) columns per mode. `--consistency` runs
+//! incremental view maintenance (`engine.refresh`: sweep + the refresh
+//! ladder, which re-runs only the plan objects a drift touched where it
+//! can and every object otherwise) and once with sweep-only
+//! invalidation (views evicted, every refresh paid as a cold recompute
+//! on the next miss) — reporting `stale_hits` (served stale answers:
+//! must be 0) and `refreshes` (object-level "delta" / cold) columns per
+//! mode. `--consistency` runs
 //! that comparison at 1%, 5%, and 20% drift and (with `--write`)
 //! saves `BENCH_consistency.json`.
 //!
@@ -489,9 +491,9 @@ fn drift_main(args: &Args) -> ExitCode {
     let json = format!(
         "{{\n  \"benchmark\": \"consistency\",\n  \"description\": \"Freshness-safe result cache \
          under drift: the NYTimes site mutates every rendered price on a generation clock at the \
-         given rate per query. 'incremental' runs the engine's refresh ladder (sweep + delta \
-         refresh of affected plan objects, cold rebuild where no strict subset exists) at every \
-         drift event; 'cold' only sweeps (views evicted, each refresh paid as a full recompute by \
+         given rate per query. 'incremental' runs the engine's refresh ladder (sweep, then an \
+         object-level refresh re-running only the affected plan objects, or a full re-run where \
+         no strict subset is affected) at every drift event; 'cold' only sweeps (views evicted, each refresh paid as a full recompute by \
          the next miss). Served answers are gated against cold isolated re-runs; stale_hits is \
          the engine's stale_served tripwire and must be zero.\",\n  \
          \"command\": \"cargo run --release -p webbase-bench --bin loadgen -- --consistency \

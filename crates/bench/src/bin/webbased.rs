@@ -36,7 +36,7 @@
 //! $ printf 'TENANT alice\nQUERY UsedCarUR(make=%s, price)\nQUIT\n' "'ford'" | nc 127.0.0.1 1999
 //! ```
 
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,8 +44,8 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 use webbase::{
-    serve_channel, AdmissionConfig, CancelToken, Engine, EngineConfig, LatencyModel, ServerConfig,
-    SessionEnd,
+    read_request_line, serve_channel, AdmissionConfig, CancelToken, Engine, EngineConfig,
+    LatencyModel, ServerConfig, SessionEnd,
 };
 
 struct Args {
@@ -122,9 +122,9 @@ fn pump_lines(read_half: TcpStream, tx: mpsc::Sender<Vec<u8>>, cancel: CancelTok
     let mut quit_seen = false;
     loop {
         let mut buf = Vec::new();
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
+        match read_request_line(&mut reader, &mut buf) {
+            Ok(false) | Err(_) => break,
+            Ok(true) => {
                 if let Ok(text) = std::str::from_utf8(&buf) {
                     let verb = text.trim();
                     if verb.eq_ignore_ascii_case("quit") || verb.eq_ignore_ascii_case("shutdown") {
@@ -135,7 +135,6 @@ fn pump_lines(read_half: TcpStream, tx: mpsc::Sender<Vec<u8>>, cancel: CancelTok
                     return; // the worker already ended the session
                 }
             }
-            Err(_) => break,
         }
     }
     if !quit_seen {

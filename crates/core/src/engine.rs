@@ -53,12 +53,10 @@ use webbase_navigation::{
     RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
 };
 use webbase_obs::sync::{fan_out, SafeMutex, SafeRwLock};
-use webbase_relational::{BaseDelta, Expr, Incremental, Relation};
+use webbase_relational::{Expr, Relation};
 use webbase_ur::plan::{PlanIndex, UrError, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
-use webbase_vps::{
-    AnswerMemo, CatalogShape, Invocation, MemoClaim, MemoKey, Provenance, VpsCatalog,
-};
+use webbase_vps::{AnswerMemo, CatalogShape, Invocation, MemoClaim, MemoKey, VpsCatalog};
 use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
 
@@ -341,9 +339,12 @@ pub struct EngineStats {
     pub drift_events: u64,
     /// Result-cache views evicted by drift invalidation.
     pub view_invalidated: u64,
-    /// Views refreshed by incremental delta propagation.
+    /// Views refreshed at object level (ladder rung 1): only the plan
+    /// objects that read a drifted page re-ran, the others kept their
+    /// stored results.
     pub delta_refresh: u64,
-    /// Views refreshed by re-evaluation or left cold-evicted.
+    /// Views refreshed by re-running every plan object (rung 2), or left
+    /// evicted (rung 3).
     pub cold_refresh: u64,
     /// Freshness tripwire: cached answers that would have been served
     /// although their dependencies drifted after publication. The
@@ -361,18 +362,19 @@ pub struct EngineStats {
 }
 
 /// Everything the engine remembers about one published result-cache
-/// entry, for precise drift invalidation and incremental refresh.
+/// entry, for precise drift invalidation and object-level refresh.
 struct ViewRecord {
-    /// Freshness epoch at publication: values published at or after the
-    /// last drift touching their deps are current by definition. The
-    /// deps that drifted since are exactly those stamped after it.
+    /// Freshness epoch the answer is current at: the ledger epoch at
+    /// publication. Until then, the epoch its reads began at, which
+    /// publication checks drift against. The deps that drifted since
+    /// are exactly those stamped after it.
     epoch: u64,
     /// The ids of every page the published answer read (tracked reads
     /// plus memo-hit dependency replays), shared so a refresh reads them
     /// without copying.
     deps: Arc<[PageId]>,
     /// Per-object results, in plan order (empty for journal-recovered
-    /// entries — those refresh by re-evaluation, not delta).
+    /// entries — those refresh by re-running every object).
     object_results: Vec<Relation>,
     /// The VPS relations each object reads, for mapping a changed page
     /// up to the objects it can affect.
@@ -389,11 +391,33 @@ struct ViewRecord {
     hosts: BTreeSet<String>,
 }
 
+impl ViewRecord {
+    /// The ledger entry for an answer `plan` computed from reads that
+    /// began at epoch `since`: its static hosts now, the hosts of its
+    /// deps when [`Engine::record_view`] publishes it.
+    fn new(
+        since: u64,
+        plan: &UrPlan,
+        fold: PlanFold,
+        invocations: Vec<Invocation>,
+        deps: Arc<[PageId]>,
+    ) -> ViewRecord {
+        ViewRecord {
+            epoch: since,
+            deps,
+            object_results: plan.object_results.clone(),
+            object_rels: fold.object_rels,
+            invocations,
+            hosts: fold.semantics.map(|s| s.hosts()).unwrap_or_default(),
+        }
+    }
+}
+
 /// The freshness ledger: which cached views depend on which pages, and
 /// which of them drift has invalidated. One mutex guards the whole
-/// ledger *and* the paired result-cache evictions, so a concurrent
-/// reader sees either the pre-drift entry or the post-drift absence —
-/// never a torn in-between.
+/// ledger *and* the paired result-cache insertions and evictions, so a
+/// concurrent reader sees either the pre-drift entry or the post-drift
+/// absence — never a torn in-between.
 #[derive(Default)]
 struct Freshness {
     /// Monotone drift clock: bumped once per applied event.
@@ -421,11 +445,19 @@ impl Freshness {
         self.page_drift[page.index()] = epoch;
     }
 
-    /// Has a host-wide event since `rec`'s publication tainted a host it
+    /// Has a host-wide event since `rec`'s epoch tainted a host it
     /// read, or one its plan can read (the static pre-seed backstops
     /// missing page provenance)?
     fn host_tainted(&self, rec: &ViewRecord) -> bool {
         self.host_drift.iter().any(|(host, &stamp)| stamp > rec.epoch && rec.hosts.contains(host))
+    }
+
+    /// Has drift since `rec`'s epoch reached a page it read or a host it
+    /// can read? No stamp exceeds the current epoch, so a record at it
+    /// has nothing to check.
+    fn stale(&self, rec: &ViewRecord) -> bool {
+        rec.epoch < self.epoch
+            && (self.host_tainted(rec) || rec.deps.iter().any(|&d| self.page_drifted(d, rec.epoch)))
     }
 }
 
@@ -435,12 +467,13 @@ impl Freshness {
 pub struct RefreshReport {
     /// The revalidation sweep over the page store.
     pub sweep: SweepReport,
-    /// Views rebuilt by incremental delta propagation.
+    /// Views rebuilt at object level: only the plan objects that read a
+    /// drifted page re-ran (ladder rung 1).
     pub delta_refreshed: usize,
-    /// Views rebuilt by full re-evaluation.
+    /// Views rebuilt by re-running every plan object (rung 2).
     pub cold_refreshed: usize,
-    /// Views left evicted (no cached plan, or the refresh degraded);
-    /// the next query recomputes them.
+    /// Views left evicted (no cached plan, the rebuild degraded, or
+    /// drift straddled it); the next query recomputes them.
     pub evicted: usize,
 }
 
@@ -566,7 +599,8 @@ struct EngineInner {
     /// singleflight protocol as the invocation memo: when N identical
     /// queries arrive at once, one session executes and the rest wait
     /// for — and then share — its answer. Only complete answers from
-    /// undegraded, unbudgeted, untraced runs are ever published.
+    /// undegraded, unbudgeted, untraced runs are ever published, and
+    /// only through `Engine::record_view`.
     results: AnswerMemo,
     report: BuildReport,
     /// Static admission gate on/off (see `EngineConfig::static_admission`).
@@ -608,7 +642,10 @@ enum Cached {
     Fresh(Relation),
     /// Resident but refused: its deps drifted after publication.
     Stale,
-    Absent,
+    /// Nothing serveable. Carries the ledger epoch of the check: a
+    /// leader that goes on to compute the answer reads no page before
+    /// it, so [`Engine::record_view`] publishes against it.
+    Absent(u64),
 }
 
 /// The shared multi-query engine. Clone-cheap (`Arc` inside); every
@@ -828,7 +865,7 @@ impl Engine {
                     // They are numbered in this engine's store: a replayed
                     // page keeps the id its preload gave it. Per-object
                     // provenance is not journalled: recovered views
-                    // refresh by re-evaluation, not delta.
+                    // refresh by re-running every object.
                     let deps: Arc<[PageId]> =
                         deps.iter().map(|r| engine.inner.store.intern(r)).collect();
                     hosts.extend(engine.inner.store.hosts(&deps));
@@ -1021,12 +1058,12 @@ impl Engine {
             let (served, lead) = match self.fresh_hit(&key, text, true) {
                 Cached::Fresh(relation) => (Some(relation), None),
                 Cached::Stale => (None, None),
-                Cached::Absent => match inner.results.claim(&key) {
+                Cached::Absent(since) => match inner.results.claim(&key) {
                     MemoClaim::Hit(..) => match self.fresh_hit(&key, text, false) {
                         Cached::Fresh(relation) => (Some(relation), None),
-                        Cached::Stale | Cached::Absent => (None, None),
+                        Cached::Stale | Cached::Absent(_) => (None, None),
                     },
-                    MemoClaim::Leader(guard) => (None, Some(guard)),
+                    MemoClaim::Leader(guard) => (None, Some((guard, since))),
                 },
             };
             if let Some(relation) = served {
@@ -1122,7 +1159,7 @@ impl Engine {
             }
         }
         let (relation, plan) = match &stored {
-            Some(entry) => inner.planner.execute_planned(q, &entry.1, &mut layer),
+            Some(entry) => inner.planner.execute_planned(q, &entry.1, &[], &mut layer),
             None => inner.planner.execute_with_index(
                 q,
                 &mut layer,
@@ -1158,16 +1195,16 @@ impl Engine {
         }
         // Publish only complete answers: a degraded, cancelled, or
         // resumable run must not be replayed to other tenants as the
-        // full result. (An error return above drops the guard instead,
-        // releasing the key so a waiting session takes over as leader.)
-        if let (Some(guard), Some(fold)) = (result_lead, fold) {
-            let publish =
-                (plan.degradation.is_clean() && plan.resume.is_none()).then(|| relation.clone());
-            if let Some(rel) = &publish {
-                self.record_view(text, rel, &plan, &layer, deps, fold);
+        // full result. Releasing the key afterwards wakes the waiters to
+        // read what was published, or to take over as leader. (An error
+        // return above drops the guard too.)
+        if let (Some((guard, since)), Some(fold)) = (result_lead, fold) {
+            if plan.degradation.is_clean() && plan.resume.is_none() {
+                let view =
+                    ViewRecord::new(since, &plan, fold, invocation_deps(&layer), deps.into());
+                self.record_view(text, &relation, view);
             }
-            // The freshness ledger, not the memo, tracks result provenance.
-            guard.settle(publish, Provenance::Unknown);
+            drop(guard);
         }
         let metrics = obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
         let observation = options
@@ -1193,22 +1230,17 @@ impl Engine {
         let inner = &self.inner;
         let ledger = inner.freshness.lock();
         if ledger.drifted.contains(text) {
-            return Cached::Absent;
+            return Cached::Absent(ledger.epoch);
         }
-        let Some(relation) = inner.results.peek(key) else { return Cached::Absent };
+        let Some(relation) = inner.results.peek(key) else {
+            return Cached::Absent(ledger.epoch);
+        };
         if count {
             inner.results.count_hit();
         }
-        if let Some(record) = ledger.views.get(text) {
-            // No stamp exceeds the current epoch, so a view published at
-            // it has nothing to check.
-            let stale = record.epoch < ledger.epoch
-                && (ledger.host_tainted(record)
-                    || record.deps.iter().any(|&d| ledger.page_drifted(d, record.epoch)));
-            if stale {
-                inner.drift_metrics.inc(Metric::StaleServed);
-                return Cached::Stale; // refuse even here: recompute beats serving stale
-            }
+        if ledger.views.get(text).is_some_and(|record| ledger.stale(record)) {
+            inner.drift_metrics.inc(Metric::StaleServed);
+            return Cached::Stale; // refuse even here: recompute beats serving stale
         }
         Cached::Fresh(relation)
     }
@@ -1266,42 +1298,38 @@ impl Engine {
         Some(PlanSemantics { cost: webbase_webcheck::CostInterval { min, max }, read })
     }
 
-    /// Enter a freshly published result into the freshness ledger (and
-    /// the journal) with everything a later drift event needs: its page
-    /// deps, its per-object values, which VPS relations each object
-    /// reads, and the hosts it can read.
-    fn record_view(
-        &self,
-        text: &str,
-        relation: &Relation,
-        plan: &UrPlan,
-        layer: &LogicalLayer,
-        deps: Vec<PageId>,
-        fold: PlanFold,
-    ) {
+    /// Publish an answer for `text`, the one path for query leaders and
+    /// both refresh rungs: journal it, then, under the ledger lock,
+    /// insert it into the result cache and enter `view` — everything a
+    /// later drift event needs — into the freshness ledger.
+    ///
+    /// `view.epoch` is the epoch the answer's reads began at. A sweep
+    /// swaps fresh pages into the store before it publishes their
+    /// events, so drift stamped after that epoch on a page the answer
+    /// read, or on a host it can read, may have landed between the read
+    /// and now: the answer is refused (returns false), and a journalled
+    /// invalidation follows its result record so a warm restart does
+    /// not revive it either.
+    fn record_view(&self, text: &str, relation: &Relation, mut view: ViewRecord) -> bool {
         let inner = &self.inner;
-        let mut hosts = fold.semantics.map(|s| s.hosts()).unwrap_or_default();
-        hosts.extend(inner.store.hosts(&deps));
-        let invocations = invocation_deps(layer);
+        view.hosts.extend(inner.store.hosts(&view.deps));
         if let Some(wal) = &inner.wal {
             // Best-effort, like page journalling: losing the record
             // costs warm-restart coverage, not the answer.
-            let _ = wal.append_result(text, relation, &deps, |id| inner.store.request(id));
+            let _ = wal.append_result(text, relation, &view.deps, |id| inner.store.request(id));
         }
         let mut ledger = inner.freshness.lock();
-        let epoch = ledger.epoch;
+        if ledger.stale(&view) {
+            if let Some(wal) = &inner.wal {
+                let _ = wal.append_invalidate(text);
+            }
+            return false;
+        }
+        view.epoch = ledger.epoch;
+        inner.results.insert(AnswerMemo::key(text, &[]), relation.clone());
         ledger.drifted.remove(text);
-        ledger.views.insert(
-            text.to_string(),
-            ViewRecord {
-                epoch,
-                deps: deps.into(),
-                object_results: plan.object_results.clone(),
-                object_rels: fold.object_rels,
-                invocations,
-                hosts,
-            },
-        );
+        ledger.views.insert(text.to_string(), view);
+        true
     }
 
     /// React to one drift event: bump the drift clock, stamp the
@@ -1412,19 +1440,23 @@ impl Engine {
         report
     }
 
-    /// The refresh ladder for one invalidated view:
+    /// The refresh ladder for one invalidated view. Both rebuilding
+    /// rungs run the cached plan through
+    /// [`UrPlanner::execute_planned`] on a rebuild session and publish
+    /// through [`Engine::record_view`], like a query leader:
     ///
-    /// 1. **Incremental** — when the drift is page-scoped and only some
-    ///    of the plan's objects read an affected VPS relation:
-    ///    re-evaluate just those objects (unchanged invocations
-    ///    memo-hit; re-run invocations read the sweep-refreshed store,
-    ///    so no new wire fetches) and propagate the per-object deltas
-    ///    through the union with [`Incremental`].
-    /// 2. **Re-evaluation** — otherwise re-run the whole query; still
-    ///    fetch-economical for the same reasons, but no delta math.
-    /// 3. **Eviction** — a failed or degraded refresh (a cancel cut it
-    ///    short, say) leaves the view evicted; the next query recomputes
-    ///    and re-publishes it.
+    /// 1. **Object level** — when the drift is page-scoped and only some
+    ///    of the plan's objects read an affected VPS relation, only
+    ///    those objects re-run (unchanged invocations memo-hit; re-run
+    ///    invocations read the sweep-refreshed store, so no new wire
+    ///    fetches). The others keep their stored results, so the union
+    ///    in plan order is the one a cold run folds.
+    /// 2. **Re-evaluation** — otherwise every object re-runs; the memo
+    ///    entries drift touched are already evicted, so this too re-runs
+    ///    only the affected invocations.
+    /// 3. **Eviction** — a failed or degraded rebuild (a cancel cut it
+    ///    short, say), or one that drift straddled, leaves the view
+    ///    evicted; the next query recomputes and re-publishes it.
     fn refresh_view(&self, text: &str, cancel: Option<&CancelToken>) -> RefreshOutcome {
         let inner = &self.inner;
         let plan_entry = inner.plans.read().get(text).cloned();
@@ -1434,11 +1466,15 @@ impl Engine {
             return RefreshOutcome::Evicted;
         };
         let (query, plan) = (&plan_entry.0, &plan_entry.1);
-        // Rung 1 applies when per-page provenance lets us bound the
-        // affected objects to a strict, non-empty subset. The drifted
-        // deps are those stamped after the view's epoch.
+        // Under one ledger lock, before any read: the epoch the rebuild
+        // publishes against, and rung 1's inputs. Rung 1 applies when
+        // per-page provenance bounds the affected objects to a strict,
+        // non-empty subset; the drifted deps are those stamped after
+        // the view's epoch. It keeps the other objects' results and
+        // their invocations and deps.
         let ledger = inner.freshness.lock();
-        let incremental = ledger.views.get(text).and_then(|r| {
+        let since = ledger.epoch;
+        let kept = ledger.views.get(text).and_then(|r| {
             let objects = plan.objects.len();
             let drifted = |d: &PageId| ledger.page_drifted(*d, r.epoch);
             if r.object_results.len() != objects
@@ -1454,42 +1490,62 @@ impl Engine {
                 .filter(|(_, deps)| deps.is_empty() || deps.iter().any(drifted))
                 .map(|(key, _)| &*key.0)
                 .collect();
-            let affected: Vec<usize> = (0..objects)
-                .filter(|&i| r.object_rels[i].iter().any(|n| affected_rels.contains(n.as_str())))
+            let stored: Vec<Option<Relation>> = (0..objects)
+                .map(|i| {
+                    let affected =
+                        r.object_rels[i].iter().any(|n| affected_rels.contains(n.as_str()));
+                    (!affected).then(|| r.object_results[i].clone())
+                })
                 .collect();
-            if affected.is_empty() || affected.len() == objects {
+            if stored.iter().all(Option::is_some) || stored.iter().all(Option::is_none) {
                 return None; // nothing attributable, or nothing to save
             }
-            Some((r.object_results.clone(), affected, r.deps.clone()))
+            Some((stored, r.invocations.clone(), r.deps.clone()))
         });
         drop(ledger);
-        if let Some((old_objects, affected, old_deps)) = incremental {
-            if let Some(outcome) =
-                self.refresh_delta(text, plan, &old_objects, &affected, old_deps, cancel)
-            {
-                return outcome;
-            }
-        }
-        // Rung 2: full re-evaluation on a tracked session. The memo
-        // entries drift touched are already evicted, so this re-runs
-        // exactly the affected invocations — against the refreshed
-        // store — and memo-hits the rest.
+        let object_level = kept.is_some();
         let (mut layer, reads) = self.rebuild_session(cancel);
-        match inner.planner.execute_planned(query, plan, &mut layer) {
+        let stored = kept.as_ref().map_or(&[][..], |(stored, ..)| stored);
+        let published = match inner.planner.execute_planned(query, plan, stored, &mut layer) {
             Ok((relation, executed)) if executed.degradation.is_clean() => {
                 // Structural drift found while rebuilding taints its
-                // host like healing-time drift — dependants evict
-                // before this view re-publishes at the bumped epoch.
+                // host like healing-time drift: dependants evict, and
+                // this view, which straddled the taint, stays evicted.
                 self.publish_quarantines(&executed.repairs);
-                inner.results.insert(AnswerMemo::key(text, &[]), relation.clone());
+                let mut invocations = invocation_deps(&layer);
+                let mut deps = reads.all();
+                if let Some((_, kept_invocations, kept_deps)) = kept {
+                    // Re-run invocations replace their old entries; the
+                    // untouched objects keep theirs, and their deps.
+                    let rerun: HashSet<&MemoKey> =
+                        invocations.iter().map(|(k, _)| k.as_ref()).collect();
+                    let untouched: Vec<Invocation> = kept_invocations
+                        .into_iter()
+                        .filter(|(k, _)| !rerun.contains(k.as_ref()))
+                        .collect();
+                    invocations.extend(untouched);
+                    let known: PageSet = kept_deps.iter().copied().collect();
+                    deps.retain(|&id| !known.contains(id));
+                    deps.extend(kept_deps.iter().copied());
+                }
                 let fold = self.fold_plan(&executed);
-                self.record_view(text, &relation, &executed, &layer, reads.all(), fold);
+                let view = ViewRecord::new(since, &executed, fold, invocations, deps.into());
+                self.record_view(text, &relation, view)
+            }
+            _ => false,
+        };
+        match (published, object_level) {
+            (true, true) => {
+                inner.drift_metrics.inc(Metric::DeltaRefresh);
+                RefreshOutcome::Delta
+            }
+            (true, false) => {
                 inner.drift_metrics.inc(Metric::ColdRefresh);
                 RefreshOutcome::Cold
             }
-            _ => {
-                // Rung 3: stay evicted; counted as a cold fallback so
-                // the bench's refresh column reflects the failed path.
+            (false, _) => {
+                // Rung 3: counted as a cold fallback so the bench's
+                // refresh column reflects the failed path.
                 inner.drift_metrics.inc(Metric::ColdRefresh);
                 RefreshOutcome::Evicted
             }
@@ -1519,88 +1575,6 @@ impl Engine {
                 self.inner.drift.publish(event);
             }
         }
-    }
-
-    /// Rung 1 of the ladder: re-evaluate only `affected` objects and
-    /// derive the new view value by delta-propagating through the
-    /// union. Returns `None` to fall through to re-evaluation.
-    fn refresh_delta(
-        &self,
-        text: &str,
-        plan: &UrPlan,
-        old_objects: &[Relation],
-        affected: &[usize],
-        old_deps: Arc<[PageId]>,
-        cancel: Option<&CancelToken>,
-    ) -> Option<RefreshOutcome> {
-        let inner = &self.inner;
-        let (mut layer, reads) = self.rebuild_session(cancel);
-        let mut new_objects = old_objects.to_vec();
-        for &i in affected {
-            match plan.objects[i].eval(&mut layer) {
-                Ok(rel) => new_objects[i] = rel,
-                Err(_) => return None,
-            }
-        }
-        if !layer.vps.degradation().is_clean() {
-            return None;
-        }
-        self.publish_quarantines(&layer.vps.repairs());
-        // Union delta propagation over the per-object bases.
-        let mut bases = HashMap::new();
-        let mut expr: Option<Expr> = None;
-        for i in 0..old_objects.len() {
-            let name = format!("object{i}");
-            let base = if affected.contains(&i) {
-                BaseDelta { old: old_objects[i].clone(), new: new_objects[i].clone() }
-            } else {
-                BaseDelta::unchanged(old_objects[i].clone())
-            };
-            bases.insert(name.clone(), base);
-            let rel = Expr::relation(&name);
-            expr = Some(match expr {
-                None => rel,
-                Some(e) => e.union(rel),
-            });
-        }
-        let node =
-            Incremental::new(bases).refresh(&expr.expect("plans have at least one object")).ok()?;
-        let value = node.new_value();
-        // New provenance: the refreshed session's reads (memo-hit
-        // replays included) plus the carried-over deps of the objects
-        // we did not touch — shared unchanged when nothing new was read.
-        let fresh: Vec<PageId> = {
-            let known: PageSet = old_deps.iter().copied().collect();
-            reads.all().into_iter().filter(|&id| !known.contains(id)).collect()
-        };
-        let fresh_hosts = inner.store.hosts(&fresh);
-        let deps: Arc<[PageId]> = if fresh.is_empty() {
-            old_deps
-        } else {
-            old_deps.iter().copied().chain(fresh).collect()
-        };
-        let refreshed_invocations = invocation_deps(&layer);
-        if let Some(wal) = &inner.wal {
-            let _ = wal.append_result(text, &value, &deps, |id| inner.store.request(id));
-        }
-        let mut ledger = inner.freshness.lock();
-        let epoch = ledger.epoch;
-        inner.results.insert(AnswerMemo::key(text, &[]), value);
-        ledger.drifted.remove(text);
-        if let Some(rec) = ledger.views.get_mut(text) {
-            rec.epoch = epoch;
-            rec.deps = deps;
-            rec.hosts.extend(fresh_hosts);
-            rec.object_results = new_objects;
-            // Merge: re-run invocations replace their old entries;
-            // untouched objects keep theirs.
-            let rerun: HashSet<&MemoKey> =
-                refreshed_invocations.iter().map(|(k, _)| k.as_ref()).collect();
-            rec.invocations.retain(|(k, _)| !rerun.contains(k.as_ref()));
-            rec.invocations.extend(refreshed_invocations);
-        }
-        inner.drift_metrics.inc(Metric::DeltaRefresh);
-        Some(RefreshOutcome::Delta)
     }
 
     /// The drift bus (publish maintenance findings here; subscribe for
@@ -2883,7 +2857,11 @@ mod tests {
             // plan invokes a relation, then exactly the plan's hosts.
             let (mut layer, _) = engine.session(false);
             assert!(layer.vps.built_hosts().is_empty(), "a session starts with no navigator");
-            engine.inner.planner.execute_planned(&plan.query, &plan, &mut layer).expect("runs");
+            engine
+                .inner
+                .planner
+                .execute_planned(&plan.query, &plan, &[], &mut layer)
+                .expect("runs");
             let built: BTreeSet<&str> = layer.vps.built_hosts().into_iter().collect();
             assert_eq!(built, hosts.iter().map(String::as_str).collect(), "{}", spec.host);
         }

@@ -43,7 +43,9 @@ pub use crate::engine::{
     AdmissionConfig, Engine, EngineConfig, EngineError, EngineStats, FreshnessReport, Lifecycle,
     PlanSemantics, QueryFailure, QueryOptions, QueryOutcome, RefreshReport,
 };
-pub use crate::server::{serve_channel, serve_connection, ServerConfig, SessionEnd, MAX_LINE};
+pub use crate::server::{
+    read_request_line, serve_channel, serve_connection, ServerConfig, SessionEnd, MAX_LINE,
+};
 pub use crate::webbase::{BuildReport, Webbase, WebbaseError};
 pub use timing::{
     merged_degradation, merged_repairs, parallel_timing, serial_timing, SiteTiming,

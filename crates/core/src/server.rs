@@ -110,6 +110,38 @@ impl Session {
     }
 }
 
+/// Read one request line into `buf`, newline included, keeping at most
+/// `MAX_LINE + 1` bytes of it: the rest of a longer line is read and
+/// dropped, so a client that never sends a newline cannot grow the
+/// buffer, and the kept prefix still answers `ERR 413`. Returns false
+/// at end of input, when nothing was read.
+pub fn read_request_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    let mut read_any = false;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(read_any);
+        }
+        read_any = true;
+        let (line, done) = match available.iter().position(|&b| b == b'\n') {
+            Some(end) => (&available[..=end], true),
+            None => (available, false),
+        };
+        let keep = line.len().min(MAX_LINE + 1 - buf.len());
+        buf.extend_from_slice(&line[..keep]);
+        let consumed = line.len();
+        reader.consume(consumed);
+        if done {
+            return Ok(true);
+        }
+    }
+}
+
 /// Serve one connection until `QUIT`, `SHUTDOWN`, or EOF. Errors out
 /// only on I/O failure — protocol misuse answers `ERR <code>` and
 /// keeps the connection.
@@ -122,8 +154,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
     let mut session = Session::new(config, None);
     let mut buf = Vec::new();
     loop {
-        buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
+        if !read_request_line(&mut reader, &mut buf)? {
             writer.flush()?;
             return Ok(SessionEnd::Eof);
         }
@@ -400,6 +431,7 @@ fn handle_line<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use webbase_webworld::prelude::LatencyModel;
 
     fn drive(engine: &Engine, script: &str) -> String {
@@ -463,6 +495,37 @@ mod tests {
         assert!(lines[2].starts_with("ERR 400 "), "{reply}");
         assert_eq!(lines[3], "OK pong");
         assert_eq!(lines[4], "OK bye");
+    }
+
+    /// A 64 MiB request line with no newline, then `PING`.
+    fn endless_line() -> impl BufRead {
+        let line = io::repeat(b'Q').take(64 << 20);
+        io::BufReader::new(line.chain(&b"\nPING\n"[..]))
+    }
+
+    /// The reader keeps `MAX_LINE + 1` bytes of an endless line; the
+    /// session answers it `ERR 413` and serves the next line.
+    #[test]
+    fn a_line_without_a_newline_is_read_in_bounded_memory() {
+        let mut reader = endless_line();
+        let mut buf = Vec::new();
+        assert!(read_request_line(&mut reader, &mut buf).expect("in-memory read"));
+        assert_eq!(buf.len(), MAX_LINE + 1);
+        assert!(buf.capacity() <= 4 * MAX_LINE, "capacity {}", buf.capacity());
+        assert!(read_request_line(&mut reader, &mut buf).expect("in-memory read"));
+        assert_eq!(buf, b"PING\n");
+        assert!(!read_request_line(&mut reader, &mut buf).expect("in-memory read"));
+
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        let mut out = Vec::new();
+        let end = serve_connection(&engine, &ServerConfig::default(), endless_line(), &mut out)
+            .expect("in-memory serve");
+        assert_eq!(end, SessionEnd::Eof);
+        let reply = String::from_utf8(out).expect("utf8 reply");
+        let lines: Vec<&str> = reply.lines().collect();
+        assert_eq!(lines.len(), 2, "{reply}");
+        assert!(lines[0].starts_with("ERR 413 "), "{reply}");
+        assert_eq!(lines[1], "OK pong");
     }
 
     #[test]

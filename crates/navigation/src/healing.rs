@@ -3,7 +3,7 @@
 //! §7 treats site evolution as an *offline* concern — [`crate::maintenance::check_map`]
 //! replays the map periodically and patches it. A live webbase meets
 //! drift *mid-query*: a renamed link, a reshuffled form, an expired CGI
-//! session token. The executor therefore carries a [`PageProbe`] — a
+//! session token. The executor therefore carries a `PageProbe` — a
 //! snapshot of the recorded catalogue — and compares every freshly
 //! fetched page against its map node, *localised to what execution
 //! depends on* (the actions on the node's outgoing edges). Findings are
@@ -23,6 +23,10 @@
 //! Everything is surfaced as a [`RepairReport`] threaded alongside PR 1's
 //! `DegradationReport` through `SiteNavigator` → `VpsCatalog` →
 //! `UrPlan` → `repro --timings`.
+//!
+//! [`Severity`]: webbase_html::diff::Severity
+//! [`Severity::AutoApplicable`]: webbase_html::diff::Severity::AutoApplicable
+//! [`Severity::ManualIntervention`]: webbase_html::diff::Severity::ManualIntervention
 
 use crate::browser::{generalize_path, LoadedPage};
 use crate::map::{NavigationMap, NodeId};

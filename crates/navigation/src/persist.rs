@@ -529,7 +529,7 @@ fn load_fields(
 /// Render a [`ResumeToken`] as F-logic facts. The serialisation follows
 /// the same convention as the map facts, but every free-form payload
 /// (relation names, attribute values, URLs, page bodies) goes through
-/// [`pct`] so the round-trip is byte-identical — a resumed query must
+/// `pct` so the round-trip is byte-identical — a resumed query must
 /// reconstruct journalled pages *exactly* or its cache keys miss.
 ///
 /// ```text

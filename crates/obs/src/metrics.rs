@@ -60,10 +60,12 @@ pub enum Metric {
     DriftEvents,
     /// Cached views (result-cache entries) invalidated by drift.
     ViewInvalidated,
-    /// Drifted views refreshed incrementally (delta propagation).
+    /// Drifted views refreshed at object level: only the plan objects
+    /// that read a drifted page re-ran.
     DeltaRefresh,
-    /// Drifted views refreshed by falling back to re-evaluation or
-    /// eviction (non-incrementalizable drift).
+    /// Drifted views refreshed by re-running every plan object, or left
+    /// evicted (drift no strict subset of the objects accounts for, or
+    /// a failed rebuild).
     ColdRefresh,
     /// Answers served from a cache entry *after* drift had invalidated
     /// it — the freshness contract's tripwire; must stay 0.

@@ -29,7 +29,6 @@
 pub mod algebra;
 pub mod arith;
 pub mod binding;
-pub mod delta;
 pub mod eval;
 pub mod optimize;
 pub mod ordering;
@@ -45,7 +44,6 @@ pub mod prelude {
     pub use crate::algebra::Expr;
     pub use crate::arith::{parse_arith, ArithExpr};
     pub use crate::binding::{Binding, BindingSet};
-    pub use crate::delta::{BaseDelta, Delta, DeltaError, DeltaStats, Incremental, NodeDelta};
     pub use crate::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
     pub use crate::optimize::optimize;
     pub use crate::predicate::Pred;

@@ -26,8 +26,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 use webbase_logical::{
-    BudgetSnapshot, BudgetTracker, LogicalLayer, Obs, ResumeToken, SpanHandle, SpanKind,
-    QUERY_TRACK,
+    BudgetSnapshot, BudgetTracker, LogicalLayer, ResumeToken, SpanHandle, SpanKind, QUERY_TRACK,
 };
 use webbase_relational::eval::{AccessSpec, CompiledExpr, EvalError, Evaluator, RelationProvider};
 use webbase_relational::ordering::{order_exact, JoinInput};
@@ -89,9 +88,10 @@ pub struct UrPlan {
     /// continues from the journalled pages without re-fetching them.
     pub resume: Option<ResumeToken>,
     /// Each object's individual result, in `objects` order (empty until
-    /// execution). The full answer is their union; keeping the per-object
-    /// values lets a maintained view refresh only the objects a drift
-    /// event touched and re-derive the union incrementally.
+    /// execution). The full answer is their union in this order; keeping
+    /// the per-object values lets a maintained view re-run only the
+    /// objects a drift event touched and take the others' stored
+    /// results (see [`UrPlanner::execute_planned`]).
     pub object_results: Vec<Relation>,
 }
 
@@ -467,7 +467,7 @@ impl UrPlanner {
             }
         }
         let plan = planned?;
-        self.run_plan(query, Cow::Owned(plan), layer, resume, &obs, root)
+        self.run_plan(query, Cow::Owned(plan), &[], layer, resume, root)
     }
 
     /// Execute a *previously computed* plan, skipping the planning
@@ -477,10 +477,17 @@ impl UrPlanner {
     /// every per-query session is built from the same shared artifacts,
     /// so a plan computed once is valid for every session, and the
     /// engine caches it by query text.
+    ///
+    /// `stored` holds, per object in plan order, a result to take
+    /// instead of evaluating the object; objects past its end, or with
+    /// `None`, are evaluated. A maintained view passes the results of
+    /// the objects drift did not touch, so the answer is the union a
+    /// cold run folds, in the same order.
     pub fn execute_planned(
         &self,
         query: &UrQuery,
         plan: &UrPlan,
+        stored: &[Option<Relation>],
         layer: &mut LogicalLayer,
     ) -> Result<(Relation, UrPlan), UrError> {
         let obs = layer.vps.obs().clone();
@@ -496,18 +503,19 @@ impl UrPlanner {
         };
         // Borrowed, so the objects compile into the caller's plan and
         // every later run of it reuses them.
-        self.run_plan(query, Cow::Borrowed(plan), layer, None, &obs, root)
+        self.run_plan(query, Cow::Borrowed(plan), stored, layer, None, root)
     }
 
     fn run_plan(
         &self,
         query: &UrQuery,
         plan: Cow<'_, UrPlan>,
+        stored: &[Option<Relation>],
         layer: &mut LogicalLayer,
         resume: Option<&ResumeToken>,
-        obs: &Obs,
         root: SpanHandle,
     ) -> Result<(Relation, UrPlan), UrError> {
+        let obs = layer.vps.obs().clone();
         // A resumed run inherits the original budget unless the query
         // supplies its own.
         let budget_spec = query.budget.clone().or_else(|| resume.map(|t| t.budget.clone()));
@@ -525,7 +533,7 @@ impl UrPlanner {
         let repairs_before = layer.vps.repairs();
         let mut result: Option<Relation> = None;
         let mut object_results = Vec::with_capacity(plan.objects.len());
-        for obj in &plan.objects {
+        for (i, obj) in plan.objects.iter().enumerate() {
             let obj_span = if obs.tracing() {
                 let names: Vec<&str> = obj.alternatives.iter().map(String::as_str).collect();
                 obs.sink.advance(QUERY_TRACK, layer.vps.stats.total_network());
@@ -533,7 +541,10 @@ impl UrPlanner {
             } else {
                 SpanHandle::INERT
             };
-            let evaled = obj.eval(layer);
+            let evaled = match stored.get(i) {
+                Some(Some(rel)) => Ok(rel.clone()),
+                _ => obj.eval(layer),
+            };
             if obs.tracing() {
                 obs.sink.advance(QUERY_TRACK, layer.vps.stats.total_network());
                 match &evaled {

@@ -18,10 +18,13 @@ mod common;
 use common::{seed, JAGUAR_QUERY};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 use webbase::engine::{Engine, EngineConfig, QueryOptions};
 use webbase::{LatencyModel, Relation};
-use webbase_navigation::DriftOrigin;
+use webbase_navigation::{DriftOrigin, WalRecovery};
 use webbase_webworld::data::{Dataset, MAKES};
 use webbase_webworld::faults::{seeded_schedule, MutatingSite, Mutation, MutationClock};
 use webbase_webworld::prelude::*;
@@ -52,19 +55,30 @@ fn drift_pool() -> Vec<(&'static str, Mutation)> {
 fn drifting_engine(
     schedules: &[(&str, Vec<Mutation>)],
 ) -> (Engine, HashMap<String, MutationClock>) {
+    drifting_engine_with(schedules, EngineConfig::default(), |_, site| site)
+}
+
+/// [`drifting_engine`] under `config`, with every site also passed
+/// through `wrap`.
+fn drifting_engine_with(
+    schedules: &[(&str, Vec<Mutation>)],
+    config: EngineConfig,
+    wrap: impl Fn(&str, Box<dyn Site>) -> Box<dyn Site>,
+) -> (Engine, HashMap<String, MutationClock>) {
     let data = Dataset::generate(seed(), 400);
     let clocks: Mutex<HashMap<String, MutationClock>> = Mutex::new(HashMap::new());
     let web = standard_web_faulty(data.clone(), LatencyModel::lan(), |h, s| {
-        match schedules.iter().find(|(host, _)| *host == h) {
+        let site = match schedules.iter().find(|(host, _)| *host == h) {
             Some((host, schedule)) => {
                 let (site, clock) = MutatingSite::new(s, schedule.clone());
                 clocks.lock().expect("clocks").insert(host.to_string(), clock);
                 Box::new(site) as Box<dyn Site>
             }
             None => s,
-        }
+        };
+        wrap(h, site)
     });
-    let engine = Engine::build_on(web, data, EngineConfig::default()).expect("builds");
+    let engine = Engine::build_on(web, data, config).expect("builds");
     let clocks = clocks.into_inner().expect("clocks");
     assert_eq!(clocks.len(), schedules.len(), "every scheduled host must exist in the web");
     (engine, clocks)
@@ -163,7 +177,9 @@ fn seeded_storm_refreshes_to_cold_equivalence_at_every_generation() {
 
 /// One refresh at width: many cached views over one drifting site are
 /// rebuilt on every core, and each comes back equal to a cold re-run —
-/// delta, cold or evicted, never stale.
+/// object-level, cold or evicted, never stale. Equal in order, too: an
+/// object-level rebuild unions the plan's objects in plan order, as a
+/// cold run does.
 #[test]
 fn one_refresh_rebuilds_many_drifted_views_to_cold_equivalence() {
     let (engine, clocks) = drifting_engine(&[(NYTIMES, vec![Mutation::new("$", "$1")])]);
@@ -196,14 +212,141 @@ fn one_refresh_rebuilds_many_drifted_views_to_cold_equivalence() {
         drifted,
         "every drifted view is rebuilt or left evicted exactly once: {report:?}"
     );
+    assert!(report.delta_refreshed > 0, "no view was refreshed at object level: {report:?}");
     for text in &texts {
+        let (answer, fresh) = (served(&engine, text), oracle(&engine, text));
         assert_eq!(
-            served(&engine, text),
-            oracle(&engine, text),
-            "{text}: diverged from a cold re-run"
+            (answer.schema(), answer.tuples()),
+            (fresh.schema(), fresh.tuples()),
+            "{text}: diverged from a cold re-run, or came back in another order"
         );
     }
     assert_eq!(engine.stats().stale_served, 0, "stale answer served");
+}
+
+/// Counts the requests a [`Gate`]d site serves, and parks one of them.
+struct Tap {
+    served: AtomicUsize,
+    /// The request to park, numbered from 1 since the last `arm` (0:
+    /// none).
+    park_at: AtomicUsize,
+    parked: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Tap {
+    /// A tap, the receiver told when a request parks, and the sender
+    /// that releases it.
+    fn new() -> (Arc<Tap>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (parked, on_park) = mpsc::channel();
+        let (release, on_release) = mpsc::channel();
+        let tap = Tap {
+            served: AtomicUsize::new(0),
+            park_at: AtomicUsize::new(0),
+            parked: Mutex::new(parked),
+            release: Mutex::new(on_release),
+        };
+        (Arc::new(tap), on_park, release)
+    }
+
+    /// Restart the count; park request `park_at` of it (0: none).
+    fn arm(&self, park_at: usize) {
+        self.served.store(0, Ordering::SeqCst);
+        self.park_at.store(park_at, Ordering::SeqCst);
+    }
+}
+
+/// A site whose requests pass through a [`Tap`]. A parked request
+/// waits at most 30 s for its release, so a test that fails before
+/// releasing it cannot hang the suite.
+struct Gate {
+    inner: Box<dyn Site>,
+    tap: Arc<Tap>,
+}
+
+impl Site for Gate {
+    fn host(&self) -> &str {
+        self.inner.host()
+    }
+
+    fn entry(&self) -> Url {
+        self.inner.entry()
+    }
+
+    fn handle(&self, req: &Request) -> Response {
+        let n = self.tap.served.fetch_add(1, Ordering::SeqCst) + 1;
+        if n == self.tap.park_at.load(Ordering::SeqCst) {
+            let _ = self.tap.parked.lock().expect("tap").send(());
+            let _ = self.tap.release.lock().expect("tap").recv_timeout(Duration::from_secs(30));
+        }
+        self.inner.handle(req)
+    }
+}
+
+/// An answer whose reads straddle a drift event is not cached as
+/// current, nor journalled as one. A sweep swaps fresh pages into the
+/// store before it publishes their event, so a leader that read NYTimes
+/// before the sweep and publishes after its event holds old prices.
+/// Here the leader parks on its last kbb fetch, after its Classifieds
+/// object has read NYTimes, while a refresh sweeps NYTimes; the next
+/// query must equal a cold re-run.
+#[test]
+fn an_answer_read_before_a_drift_is_not_cached_after_it() {
+    const FORD_BB: &str = "UsedCarUR(make='ford', model, year, price, bbprice, condition='good')";
+    let gated = |tap: &Arc<Tap>, park_at: usize, journal: Option<PathBuf>| {
+        let (engine, clocks) = drifting_engine_with(
+            &[(NYTIMES, vec![Mutation::new("$", "$1")])],
+            EngineConfig { journal, ..EngineConfig::default() },
+            |host, site| {
+                if host == KELLYS {
+                    Box::new(Gate { inner: site, tap: tap.clone() })
+                } else {
+                    site
+                }
+            },
+        );
+        served(&engine, FORD);
+        clocks[NYTIMES].advance();
+        tap.arm(park_at);
+        engine
+    };
+    // Count the query's kbb fetches on an identical engine: the Dealers
+    // object's come before the Classifieds object reads NYTimes, so
+    // only the last one is sure to come after.
+    let (counter, _, _) = Tap::new();
+    served(&gated(&counter, 0, None), FORD_BB);
+    let fetches = counter.served.load(Ordering::SeqCst);
+    assert!(fetches > 0, "the query must fetch from kbb");
+
+    let journal = std::env::temp_dir().join(format!(
+        "webbase-consistency-{}-{}-straddle",
+        std::process::id(),
+        seed()
+    ));
+    let _ = std::fs::remove_file(&journal); // a left-over journal would warm-restart
+
+    let (tap, on_park, release) = Tap::new();
+    let engine = gated(&tap, fetches, Some(journal.clone()));
+    std::thread::scope(|s| {
+        let leader = s.spawn(|| served(&engine, FORD_BB));
+        on_park.recv_timeout(Duration::from_secs(30)).expect("the leader parks on its last fetch");
+        let report = engine.refresh(Some(NYTIMES), DriftOrigin::Maintenance, None, None);
+        assert!(report.sweep.changed > 0, "the price rewrite must be detected: {report:?}");
+        release.send(()).expect("the parked fetch waits for its release");
+        leader.join().expect("leader thread");
+    });
+    let recovered = WalRecovery::load(&journal).expect("the journal reads back");
+    assert!(
+        recovered.results.iter().all(|(text, ..)| text != FORD_BB),
+        "a warm restart would revive the answer read before the drift"
+    );
+    assert_eq!(
+        served(&engine, FORD_BB),
+        oracle(&engine, FORD_BB),
+        "an answer read before the drift was cached as current"
+    );
+    assert_eq!(engine.stats().stale_served, 0, "stale answer served");
+    let _ = std::fs::remove_file(&journal);
 }
 
 /// Texts that differ only in UR-level predicates (year floor, price
