@@ -17,9 +17,9 @@
 //!   ([`LogicalDefs`]); the planning index ([`PlanIndex`]); the
 //!   [`PageStore`] (fetch+parse once, every query hits); two
 //!   [`AnswerMemo`]s, one for VPS invocations and one for logical
-//!   invocations (whole-invocation result reuse); the plan and result
-//!   caches; the per-host connection pools; and the tenant admission
-//!   tracker.
+//!   invocations (whole-invocation result reuse); the view table (each
+//!   query text's plan, answer and provenance in one entry); the
+//!   per-host connection pools; and the tenant admission tracker.
 //! * **Per query**: the VPS catalog over the shape, its navigators, the
 //!   logical layer, the `Obs` handle, and any `QueryBudget` —
 //!   everything that carries query state, so tenants can never observe
@@ -52,11 +52,11 @@ use webbase_navigation::{
     DriftEvent, DriftKind, DriftOrigin, FetchPolicy, HostPools, PageStore, QueryBudget,
     RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
 };
-use webbase_obs::sync::{fan_out, SafeMutex, SafeRwLock};
+use webbase_obs::sync::{fan_out, Flight, SafeMutex, Singleflight};
 use webbase_relational::{Expr, Relation};
 use webbase_ur::plan::{PlanIndex, UrError, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
-use webbase_vps::{AnswerMemo, CatalogShape, Invocation, MemoClaim, MemoKey, VpsCatalog};
+use webbase_vps::{AnswerMemo, CatalogShape, Invocation, MemoKey, VpsCatalog};
 use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
 
@@ -191,7 +191,7 @@ pub struct QueryOptions {
     /// Resume an earlier budget-exhausted (or cancelled) run from its
     /// token: the journalled pages are preloaded, so the fresh budget
     /// is spent entirely on the unfinished tail. Resumed runs bypass
-    /// the plan and result caches.
+    /// the view table.
     pub resume: Option<ResumeToken>,
 }
 
@@ -209,7 +209,7 @@ impl QueryOptions {
     }
 }
 
-/// A plan-cache entry: the parsed base query and its plan. The plan is
+/// A view's plan: the parsed base query and its plan. The plan is
 /// shared on its own, so a result-cache hit hands it out without a copy.
 type CachedPlan = Arc<(UrQuery, Arc<UrPlan>)>;
 
@@ -361,8 +361,8 @@ pub struct EngineStats {
     pub readset_escape: u64,
 }
 
-/// Everything the engine remembers about one published result-cache
-/// entry, for precise drift invalidation and object-level refresh.
+/// Everything the engine remembers about one published answer, for
+/// precise drift invalidation and object-level refresh.
 struct ViewRecord {
     /// Freshness epoch the answer is current at: the ledger epoch at
     /// publication. Until then, the epoch its reads began at, which
@@ -413,25 +413,41 @@ impl ViewRecord {
     }
 }
 
-/// The freshness ledger: which cached views depend on which pages, and
-/// which of them drift has invalidated. One mutex guards the whole
-/// ledger *and* the paired result-cache insertions and evictions, so a
-/// concurrent reader sees either the pre-drift entry or the post-drift
-/// absence — never a torn in-between.
+/// One cached query text: the plan its runs execute, its published
+/// answer and the record of what that answer was derived from.
+struct View {
+    /// Stored before the first execution, so later runs of the text
+    /// skip parsing and planning; a hit hands out its plan half.
+    plan: CachedPlan,
+    /// `None` before the first publication and after drift evicts it.
+    answer: Option<Relation>,
+    /// The last published answer's record, kept after eviction so
+    /// rung 1 can reuse its per-object results. A view with a record
+    /// and no answer is *drifted*: evicted, and not yet re-published.
+    record: Option<ViewRecord>,
+}
+
+/// The view table and its freshness ledger: every cached view by query
+/// text, and which pages and hosts drifted when. One mutex guards it
+/// all, so publication, serving and drift eviction each see a view's
+/// plan, answer and record together: a concurrent reader finds either
+/// the pre-drift answer or its absence, never a torn in-between.
 #[derive(Default)]
-struct Freshness {
+struct ViewTable {
     /// Monotone drift clock: bumped once per applied event.
     epoch: u64,
     /// Last drift epoch per changed page, indexed by page id (0: never
     /// drifted), and per host-wide taint.
     page_drift: Vec<u64>,
     host_drift: HashMap<String, u64>,
-    /// Views invalidated by drift and not yet re-published.
-    drifted: BTreeSet<String>,
-    views: HashMap<String, ViewRecord>,
+    /// The `(host, node)` quarantines engine runs have published, so a
+    /// later run that finds the same one again does not taint the host
+    /// again. A page-scoped event on the host clears its pairs.
+    quarantined: HashSet<(String, NodeId)>,
+    views: HashMap<String, View>,
 }
 
-impl Freshness {
+impl ViewTable {
     /// Has `dep` drifted since a view published at `epoch` read it?
     fn page_drifted(&self, dep: PageId, epoch: u64) -> bool {
         self.page_drift.get(dep.index()).is_some_and(|&stamp| stamp > epoch)
@@ -459,6 +475,14 @@ impl Freshness {
         rec.epoch < self.epoch
             && (self.host_tainted(rec) || rec.deps.iter().any(|&d| self.page_drifted(d, rec.epoch)))
     }
+
+    /// The drifted views' texts, sorted.
+    fn drifted(&self) -> Vec<String> {
+        let drifted = self.views.iter().filter(|(_, v)| v.record.is_some() && v.answer.is_none());
+        let mut texts: Vec<String> = drifted.map(|(text, _)| text.clone()).collect();
+        texts.sort_unstable();
+        texts
+    }
 }
 
 /// What one [`Engine::refresh`] pass did: the page-level sweep findings
@@ -472,8 +496,8 @@ pub struct RefreshReport {
     pub delta_refreshed: usize,
     /// Views rebuilt by re-running every plan object (rung 2).
     pub cold_refreshed: usize,
-    /// Views left evicted (no cached plan, the rebuild degraded, or
-    /// drift straddled it); the next query recomputes them.
+    /// Views left evicted (the rebuild failed or degraded, or drift
+    /// straddled it); the next query recomputes them.
     pub evicted: usize,
 }
 
@@ -557,12 +581,6 @@ fn expr_rel_names(expr: &Expr, out: &mut BTreeSet<String>) {
     }
 }
 
-/// The session's VPS invocations as `(memo key, page deps)`, sharing
-/// each deps list with the catalog's log.
-fn invocation_deps(layer: &LogicalLayer) -> Vec<Invocation> {
-    layer.vps.invocation_log().to_vec()
-}
-
 struct EngineInner {
     web: SyntheticWeb,
     /// The synthetic dataset behind the corpus, when it has one (the
@@ -586,22 +604,24 @@ struct EngineInner {
     /// memo, in the same step.
     logical_memo: AnswerMemo,
     admission: Option<EngineAdmission>,
-    /// Parsed-query + plan cache, keyed by query text. Every session
-    /// is built from the same shared artifacts, so a plan computed
-    /// once is valid for every later session (see
-    /// `UrPlanner::execute_planned`). Traced and isolated runs bypass
-    /// it — traced ones so the Plan span is real, isolated ones
-    /// because the cache is one of the shared resources the baseline
-    /// must not touch. Planning happens outside its lock; the write
-    /// lock is held only to insert a finished plan.
-    plans: SafeRwLock<HashMap<String, CachedPlan>>,
-    /// Whole-query result cache, keyed by query text, with the same
-    /// singleflight protocol as the invocation memo: when N identical
-    /// queries arrive at once, one session executes and the rest wait
-    /// for — and then share — its answer. Only complete answers from
+    /// The view table, keyed by the raw query text. A plan computed
+    /// once is valid for every later session, which is built from the
+    /// same shared artifacts (see `UrPlanner::execute_planned`). Traced
+    /// and isolated runs bypass the table — traced ones so the Plan span
+    /// is real, isolated ones because it is one of the shared resources
+    /// the baseline must not touch. Only complete answers from
     /// undegraded, unbudgeted, untraced runs are ever published, and
     /// only through `Engine::record_view`.
-    results: AnswerMemo,
+    table: SafeMutex<ViewTable>,
+    /// Query texts a leader is computing, taken before the table: of
+    /// the identical eligible queries that miss at once, one executes
+    /// and the rest wait for — and then share — its answer.
+    flights: Singleflight<String>,
+    /// Answers served from the table (after a wait, too), leaders that
+    /// did not wait, and waits.
+    result_hits: AtomicU64,
+    result_misses: AtomicU64,
+    result_coalesced: AtomicU64,
     report: BuildReport,
     /// Static admission gate on/off (see `EngineConfig::static_admission`).
     static_admission: bool,
@@ -634,18 +654,6 @@ struct EngineInner {
     /// delta_refresh, cold_refresh, stale_served) — deliberately apart
     /// from the per-query registries, which stay tenant-isolated.
     drift_metrics: Arc<MetricsRegistry>,
-    freshness: SafeMutex<Freshness>,
-}
-
-/// What [`Engine::fresh_hit`] found in the result cache.
-enum Cached {
-    Fresh(Relation),
-    /// Resident but refused: its deps drifted after publication.
-    Stale,
-    /// Nothing serveable. Carries the ledger epoch of the check: a
-    /// leader that goes on to compute the answer reads no page before
-    /// it, so [`Engine::record_view`] publishes against it.
-    Absent(u64),
 }
 
 /// The shared multi-query engine. Clone-cheap (`Arc` inside); every
@@ -806,8 +814,11 @@ impl Engine {
                 memo: AnswerMemo::new(),
                 logical_memo: AnswerMemo::new(),
                 admission: config.admission.map(EngineAdmission::new),
-                plans: SafeRwLock::new(HashMap::new()),
-                results: AnswerMemo::new(),
+                table: SafeMutex::new(ViewTable::default()),
+                flights: Singleflight::new(),
+                result_hits: AtomicU64::new(0),
+                result_misses: AtomicU64::new(0),
+                result_coalesced: AtomicU64::new(0),
                 report: BuildReport { sites: stats },
                 static_admission: config.static_admission,
                 static_denials: SafeMutex::new(DegradationReport::default()),
@@ -824,7 +835,6 @@ impl Engine {
                 journal_torn: AtomicU64::new(0),
                 drift: DriftBus::new(),
                 drift_metrics: Arc::new(MetricsRegistry::new()),
-                freshness: SafeMutex::new(Freshness::default()),
             }),
         };
         // The engine reacts to its own bus (weak, or the bus inside the
@@ -837,8 +847,8 @@ impl Engine {
                 Engine::apply_drift(&inner, event);
             }
         });
-        // Settled results re-enter the cache alongside a fresh plan
-        // (planning is pure metadata work against the shape — no
+        // Settled results re-enter the view table alongside a fresh
+        // plan (planning is pure metadata work against the shape — no
         // navigator, no fetch — so the replay stays network-free). A
         // record whose query no longer parses or plans is dropped like
         // a torn one.
@@ -857,9 +867,6 @@ impl Engine {
             });
             match replay {
                 Some((base, plan, mut hosts)) => {
-                    let entry = Arc::new((base, Arc::new(plan)));
-                    engine.inner.plans.write().insert(text.clone(), entry);
-                    engine.inner.results.insert(AnswerMemo::key(text, &[]), relation.clone());
                     // The journal carries the result's page deps, so a
                     // recovered entry keeps being invalidated precisely.
                     // They are numbered in this engine's store: a replayed
@@ -869,17 +876,20 @@ impl Engine {
                     let deps: Arc<[PageId]> =
                         deps.iter().map(|r| engine.inner.store.intern(r)).collect();
                     hosts.extend(engine.inner.store.hosts(&deps));
-                    engine.inner.freshness.lock().views.insert(
-                        text.clone(),
-                        ViewRecord {
-                            epoch: 0,
-                            deps,
-                            object_results: Vec::new(),
-                            object_rels: Vec::new(),
-                            invocations: Vec::new(),
-                            hosts,
-                        },
-                    );
+                    let record = ViewRecord {
+                        epoch: 0,
+                        deps,
+                        object_results: Vec::new(),
+                        object_rels: Vec::new(),
+                        invocations: Vec::new(),
+                        hosts,
+                    };
+                    let view = View {
+                        plan: Arc::new((base, Arc::new(plan))),
+                        answer: Some(relation.clone()),
+                        record: Some(record),
+                    };
+                    engine.inner.table.lock().views.insert(text.clone(), view);
                     recovered_results += 1;
                 }
                 None => torn += 1,
@@ -961,12 +971,12 @@ impl Engine {
         if !isolated && inner.lifecycle.load(Ordering::SeqCst) != LIFECYCLE_RUNNING {
             return Err(EngineError::Draining);
         }
-        // Plan-cache fast path: reuse the parse and the plan computed
-        // by an earlier query with the same text.
+        // Reuse the parse and the plan an earlier query with the same
+        // text stored in the view table.
         let cached = if isolated || options.trace || options.resume.is_some() {
             None
         } else {
-            inner.plans.read().get(text).cloned()
+            inner.table.lock().views.get(text).map(|view| view.plan.clone())
         };
         // A cached parse is borrowed, not copied: a result-cache hit
         // never needs its own.
@@ -1039,54 +1049,45 @@ impl Engine {
         cached: Option<CachedPlan>,
     ) -> Result<QueryOutcome, EngineError> {
         let inner = &self.inner;
-        // Whole-query singleflight over the result cache: when N
-        // identical eligible queries are in flight, one session
-        // executes and the rest block here until its answer settles,
-        // then return it as their own. The tenant still paid
-        // admission for the query — sharing the computation does not
-        // share the slot.
+        // Whole-query singleflight over the view table: a current
+        // answer is served by one table lookup, and only a miss claims
+        // the text. When N identical eligible queries miss at once, one
+        // session executes and the rest block in the claim until its
+        // answer settles, then return it as their own. The tenant still
+        // paid admission for the query — sharing the computation does
+        // not share the slot.
         let eligible =
             !isolated && !options.trace && options.budget.is_none() && options.resume.is_none();
-        let result_lead = if eligible {
-            // A fresh cached answer is served by one read of the answer
-            // map, under the ledger lock; only a miss claims the key. A
-            // hit the claim finds (an answer settled meanwhile, or one
-            // drift just evicted) is vetted once more under the lock —
-            // never served from the claimed copy — and a `None` drops
-            // through to an ordinary recompute.
-            let key = AnswerMemo::key(text, &[]);
-            let (served, lead) = match self.fresh_hit(&key, text, true) {
-                Cached::Fresh(relation) => (Some(relation), None),
-                Cached::Stale => (None, None),
-                Cached::Absent(since) => match inner.results.claim(&key) {
-                    MemoClaim::Hit(..) => match self.fresh_hit(&key, text, false) {
-                        Cached::Fresh(relation) => (Some(relation), None),
-                        Cached::Stale | Cached::Absent(_) => (None, None),
-                    },
-                    MemoClaim::Leader(guard) => (None, Some((guard, since))),
-                },
-            };
-            if let Some(relation) = served {
-                // The leader populated the plan cache before it
-                // executed, so a hit always finds the clean plan: the
-                // one this run already read, unless it ran first.
-                let plan = match &cached {
-                    Some(entry) => Some(entry.1.clone()),
-                    None => inner.plans.read().get(text).map(|entry| entry.1.clone()),
+        let mut since = 0;
+        let mut lead = None;
+        if eligible {
+            let mut served = self.serve(text, &mut since);
+            if served.is_none() {
+                let mut waited = false;
+                let on_wait = || {
+                    waited = true;
+                    inner.result_coalesced.fetch_add(1, Ordering::Relaxed);
                 };
-                if let Some(plan) = plan {
-                    return Ok(QueryOutcome {
-                        relation,
-                        plan,
-                        observation: None,
-                        metrics: MetricsSnapshot::default(),
-                    });
+                // Lock order: the claim looks the text up in the table
+                // while it holds the in-flight set, so the lead must
+                // never drop under the table's lock (its drop takes the
+                // in-flight set); it drops after `record_view` returns.
+                let lookup = || self.serve(text, &mut since);
+                match inner.flights.claim(&text.to_string(), lookup, on_wait) {
+                    Flight::Found(found) => served = Some(found),
+                    Flight::Lead(flight) => {
+                        if !waited {
+                            inner.result_misses.fetch_add(1, Ordering::Relaxed);
+                        }
+                        lead = Some(flight);
+                    }
                 }
             }
-            lead
-        } else {
-            None
-        };
+            if let Some((relation, plan)) = served {
+                let metrics = MetricsSnapshot::default();
+                return Ok(QueryOutcome { relation, plan, observation: None, metrics });
+            }
+        }
         let (mut layer, reads) = self.session(isolated);
         let obs = if options.trace {
             Obs::full()
@@ -1102,8 +1103,8 @@ impl Engine {
         // cached one, or one planned here and published as soon as it
         // exists, so concurrent same-text runs stop re-planning. Planning
         // is pure metadata work over the shape and runs *outside* the
-        // plan cache's lock, which is taken only to insert — the first
-        // insert wins. Isolated runs keep their plan to themselves.
+        // table's lock, which is taken only to store it — the first
+        // plan stored wins. Isolated runs keep their plan to themselves.
         let stored = if options.trace || options.resume.is_some() {
             None
         } else {
@@ -1117,11 +1118,13 @@ impl Engine {
                         .planner
                         .plan_with(&base, &layer, &inner.index)
                         .map_err(EngineError::Plan)?;
-                    let entry = Arc::new((base, Arc::new(plan)));
+                    let plan = Arc::new((base, Arc::new(plan)));
                     if isolated {
-                        entry
+                        plan
                     } else {
-                        inner.plans.write().entry(text.to_string()).or_insert(entry).clone()
+                        let mut table = inner.table.lock();
+                        let view = View { plan, answer: None, record: None };
+                        table.views.entry(text.to_string()).or_insert(view).plan.clone()
                     }
                 }
             })
@@ -1195,16 +1198,16 @@ impl Engine {
         }
         // Publish only complete answers: a degraded, cancelled, or
         // resumable run must not be replayed to other tenants as the
-        // full result. Releasing the key afterwards wakes the waiters to
-        // read what was published, or to take over as leader. (An error
-        // return above drops the guard too.)
-        if let (Some((guard, since)), Some(fold)) = (result_lead, fold) {
+        // full result. Releasing the text afterwards wakes the waiters
+        // to read what was published, or to take over as leader. (An
+        // error return above drops the lead too.)
+        if let (Some(lead), Some(fold)) = (lead, fold) {
             if plan.degradation.is_clean() && plan.resume.is_none() {
-                let view =
-                    ViewRecord::new(since, &plan, fold, invocation_deps(&layer), deps.into());
+                let invocations = layer.vps.invocation_log().to_vec();
+                let view = ViewRecord::new(since, &plan, fold, invocations, deps.into());
                 self.record_view(text, &relation, view);
             }
-            drop(guard);
+            drop(lead);
         }
         let metrics = obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
         let observation = options
@@ -1213,36 +1216,30 @@ impl Engine {
         Ok(QueryOutcome { relation, plan: Arc::new(plan), observation, metrics })
     }
 
-    /// Serve-side of the freshness contract: the result-cache value for
-    /// `text` (under `key`), but only if the ledger agrees it is
-    /// current. `Absent` sends the caller to the claim: nothing is
-    /// cached, or drift evicted the view and marked it for a rebuild.
-    /// `Stale` sends it down the recompute path. `count` counts a
-    /// resident entry as a result-cache hit, for a read the claim did
-    /// not already count. `stale_served` is the tripwire
-    /// for values that *would* have gone out stale: a resident entry
-    /// whose recorded deps drifted after publication without the view
-    /// being marked. The eviction protocol (evict + mark under this
-    /// same lock, synchronously with the event) makes that impossible,
-    /// which is exactly what the consistency suites pin by asserting
-    /// the counter stays zero.
-    fn fresh_hit(&self, key: &MemoKey, text: &str, count: bool) -> Cached {
+    /// Serve-side of the freshness contract, under one table lock: the
+    /// answer published for `text` and its entry's plan, counted as a
+    /// result hit. On a miss `since` is the epoch of the check: a leader
+    /// reads no page before it, so [`Engine::record_view`] publishes
+    /// against it. `stale_served` is the tripwire for an answer whose
+    /// deps drifted after publication without drift evicting it; drift
+    /// evicts under this same lock, so the suites pin it at zero. Such
+    /// an answer is refused and evicted here, leaving its view drifted.
+    fn serve(&self, text: &str, since: &mut u64) -> Option<(Relation, Arc<UrPlan>)> {
         let inner = &self.inner;
-        let ledger = inner.freshness.lock();
-        if ledger.drifted.contains(text) {
-            return Cached::Absent(ledger.epoch);
-        }
-        let Some(relation) = inner.results.peek(key) else {
-            return Cached::Absent(ledger.epoch);
-        };
-        if count {
-            inner.results.count_hit();
-        }
-        if ledger.views.get(text).is_some_and(|record| ledger.stale(record)) {
+        let mut table = inner.table.lock();
+        *since = table.epoch;
+        let view = table.views.get(text)?;
+        let answer = view.answer.as_ref()?;
+        if view.record.as_ref().is_some_and(|record| table.stale(record)) {
             inner.drift_metrics.inc(Metric::StaleServed);
-            return Cached::Stale; // refuse even here: recompute beats serving stale
+            if let Some(wal) = &inner.wal {
+                let _ = wal.append_invalidate(text);
+            }
+            table.views.get_mut(text)?.answer = None;
+            return None; // refuse even here: recompute beats serving stale
         }
-        Cached::Fresh(relation)
+        inner.result_hits.fetch_add(1, Ordering::Relaxed);
+        Some((answer.clone(), view.plan.1.clone()))
     }
 
     /// Fold a plan over the shape: the VPS relations each plan object
@@ -1299,9 +1296,9 @@ impl Engine {
     }
 
     /// Publish an answer for `text`, the one path for query leaders and
-    /// both refresh rungs: journal it, then, under the ledger lock,
-    /// insert it into the result cache and enter `view` — everything a
-    /// later drift event needs — into the freshness ledger.
+    /// both refresh rungs: journal it, then, under the table lock, store
+    /// it in the text's view beside `view` — everything a later drift
+    /// event needs.
     ///
     /// `view.epoch` is the epoch the answer's reads began at. A sweep
     /// swaps fresh pages into the store before it publishes their
@@ -1318,28 +1315,31 @@ impl Engine {
             // costs warm-restart coverage, not the answer.
             let _ = wal.append_result(text, relation, &view.deps, |id| inner.store.request(id));
         }
-        let mut ledger = inner.freshness.lock();
-        if ledger.stale(&view) {
-            if let Some(wal) = &inner.wal {
-                let _ = wal.append_invalidate(text);
+        let mut table = inner.table.lock();
+        if !table.stale(&view) {
+            view.epoch = table.epoch;
+            // Every publisher ran the plan it read from this entry.
+            if let Some(entry) = table.views.get_mut(text) {
+                entry.answer = Some(relation.clone());
+                entry.record = Some(view);
+                return true;
             }
-            return false;
         }
-        view.epoch = ledger.epoch;
-        inner.results.insert(AnswerMemo::key(text, &[]), relation.clone());
-        ledger.drifted.remove(text);
-        ledger.views.insert(text.to_string(), view);
-        true
+        if let Some(wal) = &inner.wal {
+            let _ = wal.append_invalidate(text);
+        }
+        false
     }
 
     /// React to one drift event: bump the drift clock, stamp the
-    /// drifted pages (or host), evict exactly the dependent result-cache
-    /// views and entries of both memos, journal the invalidations, and
-    /// mark the views for refresh. The stamps are the only record of *what*
-    /// drifted: a victim's drifted deps are those stamped after its
-    /// epoch. Runs synchronously on the publisher's thread — `publish`
-    /// returns only after this completes, so a sweep-then-query
-    /// sequence can never observe the stale entries.
+    /// drifted pages (or host), evict exactly the dependent answers and
+    /// entries of both memos, and journal the invalidations. An evicted
+    /// view keeps its record, which marks it for refresh. The stamps are
+    /// the only record of *what* drifted: a victim's drifted deps are
+    /// those stamped after its epoch. Runs synchronously on the
+    /// publisher's thread — `publish` returns only after this completes,
+    /// so a sweep-then-query sequence can never observe the stale
+    /// answers.
     fn apply_drift(inner: &EngineInner, event: &DriftEvent) {
         inner.drift_metrics.inc(Metric::DriftEvents);
         let page_scoped = event.page_scoped();
@@ -1361,15 +1361,18 @@ impl Engine {
         for memo in [&inner.memo, &inner.logical_memo] {
             memo.invalidate_pages(&drifted);
         }
-        let mut ledger = inner.freshness.lock();
-        ledger.epoch += 1;
-        let epoch = ledger.epoch;
+        let mut table = inner.table.lock();
+        table.epoch += 1;
+        let epoch = table.epoch;
         if page_scoped {
             for &id in &changed {
-                ledger.stamp(id, epoch);
+                table.stamp(id, epoch);
             }
+            // The host's pages changed again: a run that finds one of
+            // its quarantines again publishes it again.
+            table.quarantined.retain(|(host, _)| *host != event.host);
         } else {
-            ledger.host_drift.insert(event.host.clone(), epoch);
+            table.host_drift.insert(event.host.clone(), epoch);
         }
         let victim = |rec: &ViewRecord| {
             if rec.deps.is_empty() {
@@ -1387,18 +1390,16 @@ impl Engine {
                 rec.hosts.contains(&event.host)
             }
         };
-        let Freshness { views, drifted, .. } = &mut *ledger;
-        for (text, _) in views.iter().filter(|(_, rec)| victim(rec)) {
-            if inner.results.remove(&AnswerMemo::key(text, &[])) {
+        for (text, view) in &mut table.views {
+            if view.record.as_ref().is_some_and(victim) && view.answer.take().is_some() {
                 inner.drift_metrics.inc(Metric::ViewInvalidated);
                 if let Some(wal) = &inner.wal {
                     // Journalled so a crash between the eviction and the
-                    // re-publish cannot resurrect the stale entry on
+                    // re-publish cannot resurrect the stale answer on
                     // warm restart.
                     let _ = wal.append_invalidate(text);
                 }
             }
-            drifted.insert(text.clone());
         }
     }
 
@@ -1423,7 +1424,7 @@ impl Engine {
         // events (healing quarantines and the like). Once the token
         // fires no further view is rebuilt: those stay drifted, and the
         // next query recomputes them.
-        let drifted: Vec<String> = inner.freshness.lock().drifted.iter().cloned().collect();
+        let drifted = inner.table.lock().drifted();
         let outcomes = fan_out(&drifted, |text| {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return RefreshOutcome::Evicted;
@@ -1459,27 +1460,23 @@ impl Engine {
     ///    evicted; the next query recomputes and re-publishes it.
     fn refresh_view(&self, text: &str, cancel: Option<&CancelToken>) -> RefreshOutcome {
         let inner = &self.inner;
-        let plan_entry = inner.plans.read().get(text).cloned();
-        let Some(plan_entry) = plan_entry else {
-            // No cached plan to rebuild from (a recovered entry whose
-            // replay failed): stays evicted until someone queries it.
-            return RefreshOutcome::Evicted;
-        };
-        let (query, plan) = (&plan_entry.0, &plan_entry.1);
-        // Under one ledger lock, before any read: the epoch the rebuild
-        // publishes against, and rung 1's inputs. Rung 1 applies when
-        // per-page provenance bounds the affected objects to a strict,
-        // non-empty subset; the drifted deps are those stamped after
-        // the view's epoch. It keeps the other objects' results and
-        // their invocations and deps.
-        let ledger = inner.freshness.lock();
-        let since = ledger.epoch;
-        let kept = ledger.views.get(text).and_then(|r| {
+        // Under one table lock, before any read: the view's plan, the
+        // epoch the rebuild publishes against, and rung 1's inputs.
+        // Rung 1 applies when per-page provenance bounds the affected
+        // objects to a strict, non-empty subset; the drifted deps are
+        // those stamped after the record's epoch. It keeps the other
+        // objects' results and their invocations and deps.
+        let table = inner.table.lock();
+        let since = table.epoch;
+        let Some(view) = table.views.get(text) else { return RefreshOutcome::Evicted };
+        let entry = view.plan.clone();
+        let (query, plan) = (&entry.0, &entry.1);
+        let kept = view.record.as_ref().and_then(|r| {
             let objects = plan.objects.len();
-            let drifted = |d: &PageId| ledger.page_drifted(*d, r.epoch);
+            let drifted = |d: &PageId| table.page_drifted(*d, r.epoch);
             if r.object_results.len() != objects
                 || r.object_rels.len() != objects
-                || ledger.host_tainted(r)
+                || table.host_tainted(r)
                 || !r.deps.iter().any(drifted)
             {
                 return None;
@@ -1502,7 +1499,7 @@ impl Engine {
             }
             Some((stored, r.invocations.clone(), r.deps.clone()))
         });
-        drop(ledger);
+        drop(table);
         let object_level = kept.is_some();
         let (mut layer, reads) = self.rebuild_session(cancel);
         let stored = kept.as_ref().map_or(&[][..], |(stored, ..)| stored);
@@ -1512,7 +1509,7 @@ impl Engine {
                 // host like healing-time drift: dependants evict, and
                 // this view, which straddled the taint, stays evicted.
                 self.publish_quarantines(&executed.repairs);
-                let mut invocations = invocation_deps(&layer);
+                let mut invocations = layer.vps.invocation_log().to_vec();
                 let mut deps = reads.all();
                 if let Some((_, kept_invocations, kept_deps)) = kept {
                     // Re-run invocations replace their old entries; the
@@ -1568,11 +1565,18 @@ impl Engine {
     /// drift bus (the subscriber evicts every cached view depending on
     /// the tainted host before `publish` returns). Auto-applied repairs
     /// are not republished: healing already replayed them, so answers
-    /// derived afterwards are fresh.
+    /// derived afterwards are fresh. Quarantine is per session, so every
+    /// run that reaches a quarantined node finds it again; a `(host,
+    /// node)` pair an engine run already published is skipped until a
+    /// page-scoped event on the host clears it, so answers computed
+    /// under a standing quarantine can be cached.
     fn publish_quarantines(&self, repairs: &RepairReport) {
         for event in events_from_repairs(repairs, DriftOrigin::Healing) {
             if event.kind == DriftKind::Quarantined {
-                self.inner.drift.publish(event);
+                let pair = (event.host.clone(), event.node.unwrap_or_default());
+                if self.inner.table.lock().quarantined.insert(pair) {
+                    self.inner.drift.publish(event);
+                }
             }
         }
     }
@@ -1586,11 +1590,11 @@ impl Engine {
     /// Point-in-time freshness summary for the `FRESHNESS` verb.
     pub fn freshness(&self) -> FreshnessReport {
         let inner = &self.inner;
-        let ledger = inner.freshness.lock();
+        let table = inner.table.lock();
         FreshnessReport {
-            epoch: ledger.epoch,
-            tracked_views: ledger.views.len(),
-            drifted: ledger.drifted.iter().cloned().collect(),
+            epoch: table.epoch,
+            tracked_views: table.views.values().filter(|v| v.record.is_some()).count(),
+            drifted: table.drifted(),
             events_published: inner.drift.published(),
             recent: inner.drift.recent(),
         }
@@ -1706,13 +1710,13 @@ impl Engine {
             logical_misses: inner.logical_memo.misses(),
             logical_coalesced: inner.logical_memo.coalesced(),
             logical_len: inner.logical_memo.len(),
-            result_hits: inner.results.hits(),
-            result_misses: inner.results.misses(),
-            result_coalesced: inner.results.coalesced(),
+            result_hits: inner.result_hits.load(Ordering::Relaxed),
+            result_misses: inner.result_misses.load(Ordering::Relaxed),
+            result_coalesced: inner.result_coalesced.load(Ordering::Relaxed),
             pool_waits: inner.pool.waits(),
             panics: inner.panics.load(Ordering::Relaxed),
             cancelled: inner.cancelled.load(Ordering::Relaxed),
-            result_aborted: inner.results.aborted(),
+            result_aborted: inner.flights.aborted(),
             memo_aborted: inner.memo.aborted(),
             lock_poison_recovered: webbase_obs::sync::poison_recoveries(),
             journal_recovered_pages: inner.recovered_pages.load(Ordering::Relaxed),
@@ -2206,12 +2210,12 @@ mod tests {
         let poisoner = {
             let engine = engine.clone();
             std::thread::spawn(move || {
-                let _guard = engine.inner.plans.raw().write().expect("first writer");
-                panic!("poison the plan cache");
+                let _guard = engine.inner.table.raw().lock().expect("first holder");
+                panic!("poison the view table");
             })
         };
         assert!(poisoner.join().is_err());
-        assert!(engine.inner.plans.raw().is_poisoned());
+        assert!(engine.inner.table.raw().is_poisoned());
         let out = engine.query("t", JAGUAR, QueryOptions::default()).expect("recovers");
         assert!(!out.relation.is_empty());
         assert!(engine.stats().lock_poison_recovered > before);
@@ -2373,12 +2377,12 @@ mod tests {
     #[test]
     fn a_refresh_rebuilds_views_from_their_cached_compiled_plans() {
         // FORD refreshes by rung 1 (some objects), JAGUAR by rung 2 (the
-        // whole plan); either way the view is rebuilt from the plan
-        // cache's entry and the compiled objects its first run derived.
+        // whole plan); either way the view is rebuilt from the plan its
+        // entry holds and the compiled objects its first run derived.
         let (engine, clock) = mutating_engine(NYTIMES, vec![Mutation::new("$", "$1")]);
         let texts = [FORD, JAGUAR];
         let compiled = |text: &str| {
-            let entry = engine.inner.plans.read().get(text).cloned().expect("planned");
+            let entry = engine.inner.table.lock().views[text].plan.clone();
             let objects: Vec<Arc<CompiledExpr>> = entry
                 .1
                 .objects
@@ -2409,7 +2413,10 @@ mod tests {
     /// The tracked views whose deps, resolved back to requests, meet
     /// `drifted` — what the id ledger's victim scan must reproduce.
     fn views_reading(engine: &Engine, drifted: impl Fn(&Request) -> bool) -> BTreeSet<String> {
-        let texts: Vec<String> = engine.inner.freshness.lock().views.keys().cloned().collect();
+        let table = engine.inner.table.lock();
+        let tracked = table.views.iter().filter(|(_, view)| view.record.is_some());
+        let texts: Vec<String> = tracked.map(|(text, _)| text.clone()).collect();
+        drop(table);
         texts
             .into_iter()
             .filter(|text| view_provenance(engine, text).0.iter().any(&drifted))
@@ -2524,7 +2531,7 @@ mod tests {
         let second = journaled();
         assert_eq!(second.stats().journal_torn, 0);
         assert_eq!(view_provenance(&second, JAGUAR).0, read, "restart changed the view's deps");
-        let deps = second.inner.freshness.lock().views[JAGUAR].deps.clone();
+        let deps = record_of(&second, JAGUAR, |record| record.deps.clone());
         for id in deps.iter() {
             let req = second.store().request(*id).expect("numbered");
             assert_eq!(second.store().id(&req), Some(*id));
@@ -2615,11 +2622,11 @@ mod tests {
         let engine = Engine::build_demo(5, 400, LatencyModel::lan());
         let published = engine.query("t", FORD, QueryOptions::default()).expect("ford").relation;
         {
-            let mut ledger = engine.inner.freshness.lock();
-            ledger.epoch += 1;
-            let epoch = ledger.epoch;
-            let dep = ledger.views[FORD].deps[0];
-            ledger.stamp(dep, epoch);
+            let dep = record_of(&engine, FORD, |record| record.deps[0]);
+            let mut table = engine.inner.table.lock();
+            table.epoch += 1;
+            let epoch = table.epoch;
+            table.stamp(dep, epoch);
         }
 
         // A view published at the current epoch still serves from cache.
@@ -2770,11 +2777,18 @@ mod tests {
     /// A published view's page deps (resolved back to requests) and
     /// VPS invocation keys, as sets.
     fn view_provenance(engine: &Engine, text: &str) -> (HashSet<Request>, HashSet<MemoKey>) {
-        let ledger = engine.inner.freshness.lock();
-        let view = &ledger.views[text];
-        let keys = view.invocations.iter().map(|(key, _)| MemoKey::clone(key)).collect();
-        let deps = view.deps.iter().map(|&id| engine.store().request(id).expect("numbered"));
+        let (deps, keys) = record_of(engine, text, |record| {
+            let keys = record.invocations.iter().map(|(key, _)| MemoKey::clone(key)).collect();
+            (record.deps.clone(), keys)
+        });
+        let deps = deps.iter().map(|&id| engine.store().request(id).expect("numbered"));
         (deps.collect(), keys)
+    }
+
+    /// `read` of the record published for `text`.
+    fn record_of<T>(engine: &Engine, text: &str, read: impl FnOnce(&ViewRecord) -> T) -> T {
+        let table = engine.inner.table.lock();
+        read(table.views[text].record.as_ref().expect("a published view has a record"))
     }
 
     #[test]
@@ -2832,6 +2846,43 @@ mod tests {
 
         engine.query("t", JAGUAR, QueryOptions::default()).expect("clean run");
         assert!(engine.stats().logical_len > 0, "a clean run settles its logical answers");
+    }
+
+    #[test]
+    fn budgeted_and_cancelled_runs_leave_a_plan_but_no_answer() {
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let runs = [
+            QueryOptions::budgeted(QueryBudget::unlimited()),
+            QueryOptions { cancel: Some(cancel), ..QueryOptions::default() },
+        ];
+        for options in runs {
+            engine.query("t", FORD, options).expect("runs");
+            let table = engine.inner.table.lock();
+            let view = &table.views[FORD];
+            assert!(view.answer.is_none() && view.record.is_none(), "a partial run published");
+            drop(table);
+            let f = engine.freshness();
+            assert_eq!(f.tracked_views, 0, "a plan-only view is not tracked: {f:?}");
+            assert!(f.drifted.is_empty(), "a plan-only view is not drifted: {f:?}");
+        }
+        let stored = engine.inner.table.lock().views[FORD].plan.clone();
+
+        // The next eligible query leads and publishes; the one after hits.
+        let before = engine.stats();
+        let first = engine.query("t", FORD, QueryOptions::default()).expect("leads");
+        let after = engine.stats();
+        assert_eq!(after.result_misses, before.result_misses + 1, "{after:?}");
+        assert_eq!(after.result_hits, before.result_hits, "{after:?}");
+        assert_eq!(engine.freshness().tracked_views, 1);
+        let wire = engine.web().total_stats().requests;
+        let again = engine.query("t", FORD, QueryOptions::default()).expect("hits");
+        assert_eq!(engine.stats().result_hits, after.result_hits + 1);
+        assert_eq!(engine.web().total_stats().requests, wire, "a hit fetched");
+        assert!(Arc::ptr_eq(&again.plan, &stored.1), "the first stored plan is the one served");
+        assert_eq!(again.relation, first.relation);
+        assert_eq!(first.relation, oracle(&engine, FORD));
     }
 
     // ── plan-scoped sessions and the build-once planning index ────────

@@ -4,14 +4,14 @@
 //! A std `Mutex`/`RwLock` poisons itself when a holder panics, and every
 //! later `.lock().expect(..)` then takes the whole process down — one
 //! misbehaving query would permanently wedge the shared engine's page
-//! store, answer memo, and plan cache. These wrappers recover instead:
+//! store, answer memo, and view table. These wrappers recover instead:
 //! a poisoned acquisition strips the `PoisonError`, bumps the global
 //! [`poison_recoveries`] counter (surfaced as `lock_poison_recovered`
 //! in engine stats), and hands back the guard.
 //!
 //! Recovery is sound here because every structure guarded by these
 //! wrappers maintains its invariants *between* mutations: the page
-//! store, memo tables, plan cache, and admission ledger each update a
+//! store, memo tables, view table, and admission ledger each update a
 //! map entry or counter atomically under the guard, so a panic can at
 //! worst lose the in-flight update — never leave a half-written entry.
 //! Structures without that property must not use these wrappers.
@@ -23,8 +23,9 @@
 //!
 //! [`fan_out`] runs a loop body on every core; the drift path's view
 //! rebuild uses it. [`Singleflight`] is the one claim protocol behind
-//! the answer memos and the page store: of the sessions that miss one
-//! key at once, one computes it and the rest wait for it.
+//! the engine's view table, the answer memos and the page store: of the
+//! sessions that miss one key at once, one computes it and the rest
+//! wait for it.
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -142,6 +143,8 @@ where
 struct Flights<K> {
     inflight: SafeMutex<HashSet<K>>,
     settled: Condvar,
+    /// Leaderships released while their holder panicked.
+    aborted: AtomicU64,
 }
 
 /// The keys some session is computing right now. Clone-cheap (`Arc`
@@ -177,7 +180,9 @@ pub enum Flight<T, K: Eq + Hash> {
 /// Leadership of one in-flight key. Dropping it — after the leader
 /// published, or because it failed, was cancelled or panicked — clears
 /// the key and wakes the waiters; with nothing published, the next
-/// waiter leads.
+/// waiter leads. A drop during a panic is counted
+/// ([`Singleflight::aborted`]): the failed spend stays charged to the
+/// panicking caller, and chaos tests assert the hand-off.
 #[derive(Debug)]
 pub struct FlightGuard<K: Eq + Hash> {
     flights: Arc<Flights<K>>,
@@ -192,6 +197,9 @@ impl<K: Eq + Hash> FlightGuard<K> {
 
 impl<K: Eq + Hash> Drop for FlightGuard<K> {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.flights.aborted.fetch_add(1, Ordering::Relaxed);
+        }
         self.flights.inflight.lock().remove(&self.key);
         self.flights.settled.notify_all();
     }
@@ -203,6 +211,7 @@ impl<K: Eq + Hash + Clone> Singleflight<K> {
             flights: Arc::new(Flights {
                 inflight: SafeMutex::new(HashSet::new()),
                 settled: Condvar::new(),
+                aborted: AtomicU64::new(0),
             }),
         }
     }
@@ -238,6 +247,11 @@ impl<K: Eq + Hash + Clone> Singleflight<K> {
             let waited = self.flights.settled.wait_timeout(inflight, Duration::from_millis(50));
             inflight = recover(waited).0;
         }
+    }
+
+    /// Leaderships whose guard dropped while its holder panicked.
+    pub fn aborted(&self) -> u64 {
+        self.flights.aborted.load(Ordering::Relaxed)
     }
 
     /// The in-flight set's lock, for poison tests.

@@ -16,7 +16,9 @@
 //! run must do its own admission, journalling, and position
 //! bookkeeping, and a degraded or cancelled run may have produced a
 //! partial answer that must not be replayed to other tenants as
-//! complete.
+//! complete. Whole-query answers are not kept here: the engine's view
+//! table holds each query text's plan, answer and provenance in one
+//! entry and claims texts through the same [`Singleflight`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,10 +92,6 @@ struct MemoInner {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    /// Leaderships released by a *panicking* holder (the guard dropped
-    /// during unwinding): each one is a waiter promotion with the
-    /// failed leader's spend already charged to its own tenant.
-    aborted: AtomicU64,
 }
 
 /// A clone-cheap handle to one shared answer memo (`Arc` inside).
@@ -118,7 +116,6 @@ impl AnswerMemo {
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 coalesced: AtomicU64::new(0),
-                aborted: AtomicU64::new(0),
             }),
         }
     }
@@ -128,39 +125,6 @@ impl AnswerMemo {
         let mut bindings = given.to_vec();
         bindings.sort_by(|a, b| a.0.cmp(&b.0));
         (relation.into(), bindings)
-    }
-
-    pub fn get(&self, key: &MemoKey) -> Option<Relation> {
-        let found = self.peek(key);
-        match &found {
-            Some(_) => self.inner.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.inner.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Memoise an answer of unknown provenance (any drift event evicts
-    /// it).
-    pub fn insert(&self, key: MemoKey, answer: Relation) {
-        self.inner.answers.write().insert(key, Entry { answer, provenance: Provenance::Unknown });
-    }
-
-    /// Current answer for `key` without touching the hit/miss counters
-    /// (freshness re-checks must not distort cache accounting).
-    pub fn peek(&self, key: &MemoKey) -> Option<Relation> {
-        self.inner.answers.read().get(key).map(|e| e.answer.clone())
-    }
-
-    /// Count a hit served by a [`AnswerMemo::peek`] (a caller that vets
-    /// an entry before serving it counts only what it serves).
-    pub fn count_hit(&self) {
-        self.inner.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Evict one entry (its answer and deps). Returns whether an answer
-    /// was actually present.
-    pub fn remove(&self, key: &MemoKey) -> bool {
-        self.inner.answers.write().remove(key).is_some()
     }
 
     /// Evict every entry that read a page in `drifted` — plus,
@@ -205,11 +169,12 @@ impl AnswerMemo {
     /// thundering herd, one session pays for each distinct invocation
     /// and every other session gets it for a hash lookup.
     ///
-    /// Deadlock-free by construction. The engine's three instances
-    /// and the page store's fetch claims form levels, and a session
-    /// only ever waits on a lower level than any key it leads: a query
-    /// leader (result cache) waits on logical and VPS keys and pages; a
-    /// logical leader waits only on VPS keys and pages, because
+    /// Deadlock-free by construction. The engine's query-text claims
+    /// (its view table), its two instances and the page store's fetch
+    /// claims form levels, and a session only ever waits on a lower
+    /// level than any key it leads: a query leader waits on logical
+    /// and VPS keys and pages; a logical leader waits only on VPS keys
+    /// and pages, because
     /// definitions range over VPS relations alone; a VPS leader waits
     /// only on pages; a page leader waits on nothing
     /// ([`webbase_navigation::PageStore::claim`]). A session leads at
@@ -266,9 +231,9 @@ impl AnswerMemo {
     }
 
     /// Leaderships released because their holder panicked (each one
-    /// promoted a waiter; see [`LeaderGuard`]).
+    /// promoted a waiter; see [`FlightGuard`]).
     pub fn aborted(&self) -> u64 {
-        self.inner.aborted.load(Ordering::Relaxed)
+        self.inner.flights.aborted()
     }
 }
 
@@ -284,16 +249,15 @@ pub enum MemoClaim {
 }
 
 /// Leadership of one in-flight memo key. Dropping the guard releases
-/// the key and wakes waiters even when the computation failed, so an
-/// error path can never strand the herd: the next waiter simply takes
-/// over as leader.
+/// the key and wakes waiters even when the computation failed or
+/// panicked, so an error path can never strand the herd: the next
+/// waiter simply takes over as leader.
 #[derive(Debug)]
 pub struct LeaderGuard {
     memo: AnswerMemo,
     /// The memo's invalidation count when leadership began.
     invalidations: u64,
-    /// Dropped after `drop` below has run: it clears the in-flight key
-    /// and wakes the waiters.
+    /// Clears the in-flight key and wakes the waiters when it drops.
     flight: FlightGuard<MemoKey>,
 }
 
@@ -310,21 +274,8 @@ impl LeaderGuard {
                 answers.insert(self.flight.key().clone(), Entry { answer, provenance });
             }
         }
-        // Drop runs next: it clears the in-flight mark *after* the
-        // answer is visible, which is the ordering `claim` relies on.
-    }
-}
-
-impl Drop for LeaderGuard {
-    fn drop(&mut self) {
-        // A leader that dies *panicking* (unwinding through the engine's
-        // catch_unwind) still hands leadership off cleanly — the next
-        // waiter retries its claim and takes over — but the handoff is
-        // counted separately: the partial spend stays charged to the
-        // panicking tenant, and chaos tests assert the promotion.
-        if std::thread::panicking() {
-            self.memo.inner.aborted.fetch_add(1, Ordering::Relaxed);
-        }
+        // The flight drops next: it clears the in-flight mark *after*
+        // the answer is visible, which is the ordering `claim` relies on.
     }
 }
 
@@ -347,23 +298,37 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn roundtrip_and_counters() {
-        let memo = AnswerMemo::new();
-        let key = AnswerMemo::key("r", &[]);
-        assert!(memo.get(&key).is_none());
-        let mut rel = Relation::new(Schema::new(["x"]));
-        rel.push(Tuple::from_values([Value::Int(7)]));
-        memo.insert(key.clone(), rel.clone());
-        let back = memo.get(&key).expect("present");
-        assert_eq!(back.len(), 1);
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-    }
-
     fn one_row() -> Relation {
         let mut rel = Relation::new(Schema::new(["x"]));
         rel.push(Tuple::from_values([Value::Int(7)]));
         rel
+    }
+
+    /// Lead `key` and settle `one_row()` with unknown provenance.
+    fn settle_unknown(memo: &AnswerMemo, key: &MemoKey) {
+        match memo.claim(key) {
+            MemoClaim::Leader(guard) => guard.settle(Some(one_row()), Provenance::Unknown),
+            MemoClaim::Hit(..) => panic!("key settled twice"),
+        }
+    }
+
+    /// Is an answer for `key` resident? A miss leads the key and drops
+    /// the lead at once.
+    fn resident(memo: &AnswerMemo, key: &MemoKey) -> bool {
+        matches!(memo.claim(key), MemoClaim::Hit(..))
+    }
+
+    #[test]
+    fn roundtrip_and_counters() {
+        let memo = AnswerMemo::new();
+        let key = AnswerMemo::key("r", &[]);
+        assert!(!resident(&memo, &key));
+        settle_unknown(&memo, &key);
+        match memo.claim(&key) {
+            MemoClaim::Hit(back, Provenance::Unknown) => assert_eq!(back, one_row()),
+            other => panic!("settled with unknown provenance: {other:?}"),
+        }
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (1, 2, 1));
     }
 
     #[test]
@@ -442,7 +407,7 @@ mod tests {
     fn poisoned_memo_locks_recover_and_are_counted() {
         let memo = AnswerMemo::new();
         let key = AnswerMemo::key("r", &[]);
-        memo.insert(key.clone(), one_row());
+        settle_unknown(&memo, &key);
         let before = webbase_obs::sync::poison_recoveries();
         let panicker = {
             let memo = memo.clone();
@@ -456,8 +421,8 @@ mod tests {
         assert!(memo.inner.answers.raw().is_poisoned());
         assert!(memo.inner.flights.raw().is_poisoned());
         // Reads, writes, and the singleflight protocol all keep working.
-        assert_eq!(memo.get(&key).expect("still memoised").len(), 1);
-        memo.insert(AnswerMemo::key("s", &[]), one_row());
+        assert!(resident(&memo, &key), "still memoised");
+        settle_unknown(&memo, &AnswerMemo::key("s", &[]));
         match memo.claim(&AnswerMemo::key("t", &[])) {
             MemoClaim::Leader(guard) => guard.settle(None, Provenance::Unknown),
             MemoClaim::Hit(..) => panic!("unknown key cannot hit"),
@@ -506,11 +471,11 @@ mod tests {
             MemoClaim::Hit(..) => panic!("settled with pages"),
             MemoClaim::Leader(_) => panic!("settled key must hit"),
         }
-        // An answer inserted without deps hits with unknown provenance.
+        // An answer settled without deps hits with unknown provenance.
         let legacy = AnswerMemo::key("legacy", &[]);
-        memo.insert(legacy.clone(), one_row());
+        settle_unknown(&memo, &legacy);
         assert_eq!(deps_of(&memo, &legacy), None);
-        assert_eq!((memo.hits(), memo.misses()), (3, 1));
+        assert_eq!((memo.hits(), memo.misses()), (3, 2));
     }
 
     #[test]
@@ -523,16 +488,16 @@ mod tests {
         let unknown = AnswerMemo::key("legacy", &[]);
         settle_with(&memo, &on_a, vec![page_a]);
         settle_with(&memo, &on_b, vec![page_b]);
-        memo.insert(unknown.clone(), one_row());
+        settle_unknown(&memo, &unknown);
         assert_eq!(deps_of(&memo, &on_a), Some(vec![page_a]));
 
         // page_a drifts: r_a dies, r_b survives, deps-less legacy dies
         // conservatively.
         let evicted = memo.invalidate_pages(&drifted(&[page_a]));
         assert!(evicted.contains(&on_a) && evicted.contains(&unknown));
-        assert!(memo.get(&on_a).is_none());
-        assert!(memo.get(&unknown).is_none());
-        assert!(memo.get(&on_b).is_some());
+        assert!(!resident(&memo, &on_a));
+        assert!(!resident(&memo, &unknown));
+        assert!(resident(&memo, &on_b));
         // The deps went with the answer: a fresh claim leads, and the
         // new answer carries only what it was settled with.
         settle_with(&memo, &on_a, vec![page_b]);
@@ -541,7 +506,7 @@ mod tests {
 
         // Host-wide invalidation (every id on b) takes out the rest of
         // b, answers and deps together, and a deps-less answer with them.
-        memo.insert(unknown.clone(), one_row());
+        settle_unknown(&memo, &unknown);
         let mut evicted = memo.invalidate_pages(&drifted(&[page_b]));
         evicted.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(evicted, vec![unknown.clone(), on_a.clone(), on_b.clone()]);

@@ -349,6 +349,35 @@ fn an_answer_read_before_a_drift_is_not_cached_after_it() {
     let _ = std::fs::remove_file(&journal);
 }
 
+/// Manual-intervention drift quarantines its node again in every session
+/// that reaches it, but the engine publishes each quarantine once: after
+/// the refresh that found it, queries over the host are cached again,
+/// with no further drift event, and each equals a cold re-run. When the
+/// site changes back, the sweep's page event ends the quarantine.
+#[test]
+fn a_standing_quarantine_is_published_once_and_its_views_cache_again() {
+    let rename = drift_pool().into_iter().filter(|(host, _)| *host == NEWSDAY).map(|(_, m)| m);
+    let (engine, clocks) = drifting_engine(&[(NEWSDAY, rename.collect())]);
+    let healthy = served(&engine, FORD);
+    clocks[NEWSDAY].advance();
+    engine.refresh(Some(NEWSDAY), DriftOrigin::Maintenance, None, None);
+
+    let before = engine.stats();
+    for round in 0..4 {
+        assert_eq!(served(&engine, FORD), oracle(&engine, FORD), "query {round}");
+    }
+    let after = engine.stats();
+    assert!(after.result_hits >= before.result_hits + 3, "{before:?} -> {after:?}");
+    assert_eq!(after.drift_events, before.drift_events, "a quarantine was published again");
+
+    clocks[NEWSDAY].set(0);
+    let report = engine.refresh(Some(NEWSDAY), DriftOrigin::Maintenance, None, None);
+    assert!(report.sweep.changed > 0, "the form must change back: {report:?}");
+    assert_eq!(served(&engine, FORD), oracle(&engine, FORD), "after the repair");
+    assert_eq!(served(&engine, FORD), healthy, "the newsday branch must come back");
+    assert_eq!(engine.stats().stale_served, 0, "stale answer served");
+}
+
 /// Texts that differ only in UR-level predicates (year floor, price
 /// bound) make the same logical invocations, so they share every
 /// logical-memo entry. Drift on the NYTimes pages they all read must
