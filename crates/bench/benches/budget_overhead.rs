@@ -44,7 +44,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
             let nav = SiteNavigator::new(web.clone(), map.clone());
             let tracker = Arc::new(BudgetTracker::new(generous_budget()));
             tracker.register_site(host);
-            nav.set_budget(tracker.clone());
+            nav.set_budget(Some(tracker.clone()));
             let (records, run) = nav.run_relation(relation, &given).expect("runs");
             assert!(tracker.exhausted().is_none(), "generous budget denied on the healthy path");
             assert_eq!(records.len(), base_records.len(), "budget changed the answer");
@@ -55,7 +55,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
                 let nav = SiteNavigator::new(web.clone(), map.clone());
                 let tracker = Arc::new(BudgetTracker::new(generous_budget()));
                 tracker.register_site(host);
-                nav.set_budget(tracker);
+                nav.set_budget(Some(tracker));
                 let (records, _) = nav.run_relation(relation, black_box(&given)).expect("runs");
                 black_box(records.len())
             });

@@ -13,10 +13,10 @@ fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("multi_site_eval");
     group.sample_size(10);
     group.bench_function("serial_10_sites", |b| {
-        b.iter(|| black_box(serial_timing(black_box(&wb), "ford", "escort").len()));
+        b.iter(|| black_box(serial_timing(black_box(&wb), "ford", "escort", None).0.len()));
     });
     group.bench_function("parallel_10_sites", |b| {
-        b.iter(|| black_box(parallel_timing(black_box(&wb), "ford", "escort").len()));
+        b.iter(|| black_box(parallel_timing(black_box(&wb), "ford", "escort", None).0.len()));
     });
     group.finish();
 }

@@ -141,7 +141,7 @@ fn main() {
     }
     if want("--fig5") {
         section("Figure 5 — UsedCarUR concept hierarchy");
-        println!("{}", wb.planner().hierarchy.render(&wb.ur_attributes()));
+        println!("{}", wb.planner().hierarchy.render(wb.ur_attributes()));
     }
     if want("--ex62") {
         section("Example 6.2 — compatibility constraints and maximal objects");
@@ -159,7 +159,7 @@ fn main() {
     }
     if want("--timings") {
         section("§7 — timing table: SELECT make,model,year,price WHERE make=ford AND model=escort");
-        let rows = timing::serial_timing(&wb, "ford", "escort");
+        let (rows, _) = timing::serial_timing(&wb, "ford", "escort", None);
         println!("{}", timing::render_table(&rows));
         println!("Site degradation:\n{}", timing::merged_degradation(&rows).render());
         println!("Self-healing:\n{}", timing::merged_repairs(&rows).render());
@@ -207,37 +207,34 @@ fn main() {
         let q = "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
                  safety='good', condition='good') WHERE price < bbprice";
         println!("{q}\n");
-        let mut query = webbase_ur::query::parse_query(q).expect("the demo query parses");
-        if budgeted {
-            let mut budget = webbase_logical::QueryBudget::unlimited();
-            if let Some(ms) = deadline_ms {
-                budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-            }
-            if let Some(n) = fetch_quota {
-                budget = budget.with_fetch_quota(n);
-            }
-            if !budget.is_unlimited() {
-                query = query.with_budget(budget);
-            }
+        let mut budget = webbase_logical::QueryBudget::unlimited();
+        if let Some(ms) = deadline_ms {
+            budget = budget.with_deadline(std::time::Duration::from_millis(ms));
+        }
+        if let Some(n) = fetch_quota {
+            budget = budget.with_fetch_quota(n);
         }
         // A token saved by an earlier exhausted run continues that run:
         // its journal preloads the caches, its budget applies unless a
         // fresh one was given on this command line.
-        let prior = resume_path
+        let resume = resume_path
             .as_ref()
             .and_then(|p| std::fs::read_to_string(p).ok())
             .map(|text| webbase_navigation::parse_resume(&text).expect("valid resume token"));
-        if prior.is_some() {
+        if resume.is_some() {
             println!("(resuming from saved token)\n");
         }
         // Observability rides along with any execution mode (budgeted,
-        // resumed, or plain): attach for the duration, detach after.
-        let obs = if traced { webbase::Obs::full() } else { webbase::Obs::none() };
-        if traced {
-            wb.layer.vps.set_obs(obs.clone());
-        }
-        match wb.execute(&query, prior.as_ref()) {
-            Ok((result, plan)) => {
+        // resumed, or plain).
+        let options = webbase::QueryOptions {
+            budget: (!budget.is_unlimited()).then_some(budget),
+            trace: traced,
+            resume,
+            ..webbase::QueryOptions::default()
+        };
+        let outcome = wb.query_with(q, options);
+        match &outcome {
+            Ok(webbase::QueryOutcome { relation: result, plan, .. }) => {
                 println!("{}", plan.render());
                 println!("{}", result.to_table());
                 println!("Site degradation:\n{}", plan.degradation.render());
@@ -282,21 +279,18 @@ fn main() {
             }
             Err(e) => println!("query failed: {e}"),
         }
-        if traced {
-            let trace = obs.sink.finish();
-            let snapshot = obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
-            wb.layer.vps.set_obs(webbase::Obs::none());
+        if let Some(observation) = outcome.ok().and_then(|o| o.observation) {
             if trace_tree {
                 section("Query trace (simulated clock)");
-                println!("{}", trace.render_tree());
+                println!("{}", observation.trace.render_tree());
             }
             if trace_json {
                 section("Query trace (JSON lines)");
-                println!("{}", trace.render_jsonl());
+                println!("{}", observation.trace.render_jsonl());
             }
             if metrics {
                 section("Metrics");
-                println!("{}", snapshot.render());
+                println!("{}", observation.metrics.render());
             }
         }
     }

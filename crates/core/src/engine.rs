@@ -14,7 +14,7 @@
 //! * **Shared**: the simulated Web; the [`CatalogShape`] (every
 //!   relation's site, schema and handles, the compiled site programs,
 //!   the per-site semantics); the logical definitions
-//!   ([`LogicalDefs`]); the planning index ([`PlanIndex`]); the
+//!   ([`LogicalDefs`]); the [`UrPlanner`] and its planning index; the
 //!   [`PageStore`] (fetch+parse once, every query hits); two
 //!   [`AnswerMemo`]s, one for VPS invocations and one for logical
 //!   invocations (whole-invocation result reuse); the view table (each
@@ -54,7 +54,7 @@ use webbase_navigation::{
 };
 use webbase_obs::sync::{fan_out, Flight, SafeMutex, Singleflight};
 use webbase_relational::{Expr, Relation};
-use webbase_ur::plan::{PlanIndex, UrError, UrPlan, UrPlanner};
+use webbase_ur::plan::{UrError, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
 use webbase_vps::{AnswerMemo, CatalogShape, Invocation, MemoKey, VpsCatalog};
 use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
@@ -590,10 +590,9 @@ struct EngineInner {
     /// each query's catalog is a view over it.
     shape: Arc<CatalogShape>,
     logical: Arc<LogicalDefs>,
+    /// Its planning index is built once, over the shape and the logical
+    /// definitions.
     planner: UrPlanner,
-    /// The planner's query-independent input, built once from the
-    /// shape and the logical definitions.
-    index: PlanIndex,
     store: PageStore,
     pool: Arc<HostPools>,
     /// VPS invocation answers, keyed by `(relation, bindings)`.
@@ -606,7 +605,7 @@ struct EngineInner {
     admission: Option<EngineAdmission>,
     /// The view table, keyed by the raw query text. A plan computed
     /// once is valid for every later session, which is built from the
-    /// same shared artifacts (see `UrPlanner::execute_planned`). Traced
+    /// same shared artifacts (see `UrPlanner::execute`). Traced
     /// and isolated runs bypass the table — traced ones so the Plan span
     /// is real, isolated ones because it is one of the shared resources
     /// the baseline must not touch. Only complete answers from
@@ -773,11 +772,12 @@ impl Engine {
         }
         let shape = Arc::new(shape);
         let logical = Arc::new(LogicalDefs::new(corpus.relations));
-        let planner = UrPlanner::new(corpus.hierarchy, corpus.rules);
-        let index = planner.index(&LogicalLayer::over(
+        // An isolated session's layer: planning reads only the shape.
+        let planning = LogicalLayer::over(
             VpsCatalog::over(shape.clone(), PageStore::new(), None),
             logical.clone(),
-        ));
+        );
+        let planner = UrPlanner::new(corpus.hierarchy, corpus.rules, &planning);
         let store = match config.page_capacity {
             Some(cap) => PageStore::with_capacity(cap),
             None => PageStore::new(),
@@ -808,7 +808,6 @@ impl Engine {
                 shape,
                 logical,
                 planner,
-                index,
                 store,
                 pool: Arc::new(HostPools::new(config.per_host_connections)),
                 memo: AnswerMemo::new(),
@@ -854,10 +853,9 @@ impl Engine {
         // a torn one.
         let mut recovered_results = 0u64;
         let mut torn = recovery.torn;
-        let (planning, _) = engine.session(true);
         for (text, relation, deps) in &recovery.results {
             let replay = parse_query(text).ok().and_then(|base| {
-                let plan = engine.inner.planner.plan_with(&base, &planning, &engine.inner.index);
+                let plan = engine.inner.planner.plan(&base, &planning);
                 plan.ok().map(|plan| {
                     // Re-seed the ledger's static-host stamps from the
                     // replayed plan — the journal does not carry them.
@@ -961,7 +959,7 @@ impl Engine {
         &self,
         tenant: &str,
         text: &str,
-        options: QueryOptions,
+        mut options: QueryOptions,
         isolated: bool,
     ) -> Result<QueryOutcome, EngineError> {
         let inner = &self.inner;
@@ -980,13 +978,10 @@ impl Engine {
         };
         // A cached parse is borrowed, not copied: a result-cache hit
         // never needs its own.
-        let mut q = match &cached {
+        let q = match &cached {
             Some(entry) => Cow::Borrowed(&entry.0),
             None => Cow::Owned(parse_query(text).map_err(EngineError::Query)?),
         };
-        if let Some(budget) = options.budget.clone() {
-            q = Cow::Owned(q.into_owned().with_budget(budget));
-        }
         if !isolated {
             if let Some(admission) = &inner.admission {
                 if let Err(denial) = admission.admit(tenant) {
@@ -1003,10 +998,10 @@ impl Engine {
         // state an unwinding thread can abandon mid-update is behind
         // poison-recovering locks or drop guards (the result-cache
         // leadership hands itself to a waiter on drop).
-        let cancel = options.cancel.clone().unwrap_or_default();
+        let cancel = options.cancel.get_or_insert_with(CancelToken::default).clone();
         let _inflight = if isolated { None } else { Some(InflightGuard::register(inner, &cancel)) };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.run_admitted(text, &q, &options, isolated, &cancel, cached.clone())
+            self.run_admitted(text, &q, &options, isolated, cached.clone())
         }));
         // The tenant consumed its admission whether the query
         // succeeded, failed, or panicked — the slot was held either
@@ -1045,7 +1040,6 @@ impl Engine {
         q: &UrQuery,
         options: &QueryOptions,
         isolated: bool,
-        cancel: &CancelToken,
         cached: Option<CachedPlan>,
     ) -> Result<QueryOutcome, EngineError> {
         let inner = &self.inner;
@@ -1089,13 +1083,7 @@ impl Engine {
             }
         }
         let (mut layer, reads) = self.session(isolated);
-        let obs = if options.trace {
-            Obs::full()
-        } else {
-            Obs::metrics_only(Arc::new(MetricsRegistry::new()))
-        };
-        layer.vps.set_obs(obs.clone());
-        layer.vps.set_cancel(cancel.clone());
+        layer.vps.set_obs(Obs::metrics_only(Arc::new(MetricsRegistry::new())));
         // The plan this run executes. A traced run plans inside its own
         // span tree, and a resumed run re-plans privately so its partial
         // provenance never touches the shared caches; both do so during
@@ -1111,14 +1099,8 @@ impl Engine {
             Some(match cached {
                 Some(entry) => entry,
                 None => {
-                    // Plan the *base* query: a budget on `q` must not
-                    // leak into the shared cache.
-                    let base = UrQuery { budget: None, ..q.clone() };
-                    let plan = inner
-                        .planner
-                        .plan_with(&base, &layer, &inner.index)
-                        .map_err(EngineError::Plan)?;
-                    let plan = Arc::new((base, Arc::new(plan)));
+                    let plan = inner.planner.plan(q, &layer).map_err(EngineError::Plan)?;
+                    let plan = Arc::new((q.clone(), Arc::new(plan)));
                     if isolated {
                         plan
                     } else {
@@ -1142,7 +1124,7 @@ impl Engine {
                 let plan = match &stored {
                     Some(entry) => Some(&*entry.1),
                     None => {
-                        traced_plan = inner.planner.plan_with(q, &layer, &inner.index).ok();
+                        traced_plan = inner.planner.plan(q, &layer).ok();
                         traced_plan.as_ref()
                     }
                 };
@@ -1161,20 +1143,14 @@ impl Engine {
                 }
             }
         }
-        let (relation, plan) = match &stored {
-            Some(entry) => inner.planner.execute_planned(q, &entry.1, &[], &mut layer),
-            None => inner.planner.execute_with_index(
-                q,
-                &mut layer,
-                &inner.index,
-                options.resume.as_ref(),
-            ),
-        }
-        .map_err(EngineError::Plan)?;
+        let outcome = self
+            .execute(&mut layer, q, stored.as_ref().map(|entry| &*entry.1), &[], options)
+            .map_err(EngineError::Plan)?;
+        let plan = &outcome.plan;
         // One fold of the executed plan over the shape, and one pass over
         // the run's page reads, serve both the read-set tripwire and the
         // freshness ledger.
-        let fold = (!isolated).then(|| self.fold_plan(&plan));
+        let fold = (!isolated).then(|| self.fold_plan(plan));
         let deps = reads.all();
         // Soundness tripwire: every page this run read must fall inside
         // the plan's static read-set (host granularity — the static set
@@ -1204,11 +1180,52 @@ impl Engine {
         if let (Some(lead), Some(fold)) = (lead, fold) {
             if plan.degradation.is_clean() && plan.resume.is_none() {
                 let invocations = layer.vps.invocation_log().to_vec();
-                let view = ViewRecord::new(since, &plan, fold, invocations, deps.into());
-                self.record_view(text, &relation, view);
+                let view = ViewRecord::new(since, plan, fold, invocations, deps.into());
+                self.record_view(text, &outcome.relation, view);
             }
             drop(lead);
         }
+        Ok(outcome)
+    }
+
+    /// Run a parsed query on a session the caller owns: the one
+    /// execution path behind [`Engine::query`] and
+    /// [`Engine::query_isolated`] (each on its per-query session), the
+    /// refresh ladder (on its rebuild sessions) and [`crate::Webbase`]
+    /// (on its long-lived one).
+    ///
+    /// It installs the run's state on the session — a full trace handle
+    /// when `options.trace`, a tracker for the budget (the options' own,
+    /// else the resume token's) and the cancel token — runs
+    /// [`UrPlanner::execute`] with `plan`, `stored` and the resume token,
+    /// then removes that state again, so none of it reaches the
+    /// session's next run. An untraced run reports into the session's
+    /// own handle.
+    pub(crate) fn execute(
+        &self,
+        layer: &mut LogicalLayer,
+        query: &UrQuery,
+        plan: Option<&UrPlan>,
+        stored: &[Option<Relation>],
+        options: &QueryOptions,
+    ) -> Result<QueryOutcome, UrError> {
+        let vps = &mut layer.vps;
+        let session_obs = options.trace.then(|| {
+            let session_obs = vps.obs().clone();
+            vps.set_obs(Obs::full());
+            session_obs
+        });
+        let obs = vps.obs().clone();
+        let budget = options.budget.as_ref().or(options.resume.as_ref().map(|t| &t.budget));
+        vps.set_budget(budget.map(|b| Arc::new(BudgetTracker::new(b.clone()))));
+        vps.set_cancel(options.cancel.clone());
+        let run = self.inner.planner.execute(query, plan, stored, options.resume.as_ref(), layer);
+        layer.vps.set_budget(None);
+        layer.vps.set_cancel(None);
+        if let Some(session_obs) = session_obs {
+            layer.vps.set_obs(session_obs);
+        }
+        let (relation, plan) = run?;
         let metrics = obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
         let observation = options
             .trace
@@ -1442,8 +1459,8 @@ impl Engine {
     }
 
     /// The refresh ladder for one invalidated view. Both rebuilding
-    /// rungs run the cached plan through
-    /// [`UrPlanner::execute_planned`] on a rebuild session and publish
+    /// rungs run the cached plan through [`Engine::execute`] on a
+    /// rebuild session, under the refresh's cancel token, and publish
     /// through [`Engine::record_view`], like a query leader:
     ///
     /// 1. **Object level** — when the drift is page-scoped and only some
@@ -1501,10 +1518,13 @@ impl Engine {
         });
         drop(table);
         let object_level = kept.is_some();
-        let (mut layer, reads) = self.rebuild_session(cancel);
+        let (mut layer, reads) = self.session(false);
         let stored = kept.as_ref().map_or(&[][..], |(stored, ..)| stored);
-        let published = match inner.planner.execute_planned(query, plan, stored, &mut layer) {
-            Ok((relation, executed)) if executed.degradation.is_clean() => {
+        let options = QueryOptions { cancel: cancel.cloned(), ..QueryOptions::default() };
+        let published = match self.execute(&mut layer, query, Some(plan), stored, &options) {
+            Ok(QueryOutcome { relation, plan: executed, .. })
+                if executed.degradation.is_clean() =>
+            {
                 // Structural drift found while rebuilding taints its
                 // host like healing-time drift: dependants evict, and
                 // this view, which straddled the taint, stays evicted.
@@ -1547,18 +1567,6 @@ impl Engine {
                 RefreshOutcome::Evicted
             }
         }
-    }
-
-    /// A tracked session for rebuilding one drifted view: private
-    /// metrics, and the refresh's cancel token, so a cancel lands before
-    /// the rebuild's next page request.
-    fn rebuild_session(&self, cancel: Option<&CancelToken>) -> (LogicalLayer, ReadSet) {
-        let (mut layer, reads) = self.session(false);
-        layer.vps.set_obs(Obs::metrics_only(Arc::new(MetricsRegistry::new())));
-        if let Some(token) = cancel {
-            layer.vps.set_cancel(token.clone());
-        }
-        (layer, reads)
     }
 
     /// Publish the quarantines of one execution's repair report on the
@@ -1666,11 +1674,7 @@ impl Engine {
     ) -> Result<(UrPlan, Option<PlanSemantics>), EngineError> {
         let q = parse_query(text).map_err(EngineError::Query)?;
         let (layer, _) = self.session(true);
-        let plan = self
-            .inner
-            .planner
-            .plan_with(&q, &layer, &self.inner.index)
-            .map_err(EngineError::Plan)?;
+        let plan = self.inner.planner.plan(&q, &layer).map_err(EngineError::Plan)?;
         let semantics = self.fold_plan(&plan).semantics;
         Ok((plan, semantics))
     }
@@ -1838,11 +1842,6 @@ impl Engine {
             compat,
         }));
         report
-    }
-
-    /// The UR's attribute list.
-    pub fn ur_attributes(&self) -> Vec<String> {
-        self.inner.index.attributes().to_vec()
     }
 }
 
@@ -2908,22 +2907,21 @@ mod tests {
             // plan invokes a relation, then exactly the plan's hosts.
             let (mut layer, _) = engine.session(false);
             assert!(layer.vps.built_hosts().is_empty(), "a session starts with no navigator");
-            engine
-                .inner
-                .planner
-                .execute_planned(&plan.query, &plan, &[], &mut layer)
-                .expect("runs");
+            let options = QueryOptions::default();
+            engine.execute(&mut layer, &plan.query, Some(&plan), &[], &options).expect("runs");
             let built: BTreeSet<&str> = layer.vps.built_hosts().into_iter().collect();
             assert_eq!(built, hosts.iter().map(String::as_str).collect(), "{}", spec.host);
         }
     }
 
-    /// The engine's indexed planning (build-once index over the shape)
-    /// against `UrPlanner::plan`, which builds its index per call, on a
-    /// single-owner session, for every text.
+    /// The engine's planning (its planner's index built once, over the
+    /// shape, at assembly) against a reference planner built fresh over
+    /// a single-owner session of its own, for every text.
     fn assert_plans_agree(engine: &Engine, texts: &[String]) {
         let (layer, _) = engine.session(true);
-        let planner = engine.planner();
+        let (hierarchy, rules) =
+            (engine.planner().hierarchy.clone(), engine.planner().rules.clone());
+        let planner = UrPlanner::new(hierarchy, rules, &layer);
         for text in texts {
             let q = parse_query(text).expect("parses");
             let expected = planner.plan(&q, &layer);
@@ -2935,7 +2933,7 @@ mod tests {
             };
             assert_eq!(got, expected, "{text}");
         }
-        assert_eq!(engine.ur_attributes(), planner.ur_attributes(&layer));
+        assert_eq!(engine.planner().ur_attributes(), planner.ur_attributes());
     }
 
     #[test]

@@ -88,38 +88,28 @@ fn given_for(relation: &str, make: &str, model: &str) -> Vec<(String, Value)> {
 }
 
 /// Run one site's query with a fresh navigator (its own browser cache),
-/// so per-site page counts are independent.
+/// so per-site page counts are independent. Under a shared tracker the
+/// navigator is still fresh; only the tracker is shared, which is how
+/// the timing experiments observe cross-site quota contention.
 fn run_one(
     web: &SyntheticWeb,
     map: &NavigationMap,
     relation: &str,
     make: &str,
     model: &str,
-) -> SiteTiming {
-    run_one_with(web, map, relation, make, model, None)
-}
-
-/// [`run_one`], optionally under a shared query budget. Each navigator
-/// is still fresh; only the tracker is shared, which is exactly how the
-/// timing experiments observe cross-site quota contention.
-fn run_one_with(
-    web: &SyntheticWeb,
-    map: &NavigationMap,
-    relation: &str,
-    make: &str,
-    model: &str,
-    budget: Option<Arc<BudgetTracker>>,
+    budget: Option<&Arc<BudgetTracker>>,
 ) -> SiteTiming {
     let nav = SiteNavigator::new(web.clone(), map.clone());
-    if let Some(b) = budget {
-        nav.set_budget(b);
-    }
+    nav.set_budget(budget.cloned());
     let registry = Arc::new(MetricsRegistry::new());
     nav.set_obs(Obs::metrics_only(registry.clone()));
     let given = given_for(relation, make, model);
     let (records, stats) = nav
         .run_relation(relation, &given)
         .unwrap_or_else(|e| panic!("timing query on {relation} failed: {e}"));
+    if let Some(tracker) = budget {
+        tracker.mark_served(&map.site);
+    }
     SiteTiming {
         site: map.site.clone(),
         relation: relation.to_string(),
@@ -133,6 +123,18 @@ fn run_one_with(
         repairs: nav.repair_report(),
         metrics: registry.snapshot(),
     }
+}
+
+/// One tracker for `budget`, shared by every site of the table, with
+/// every timing site registered up front.
+fn shared_tracker(budget: Option<QueryBudget>) -> Option<Arc<BudgetTracker>> {
+    budget.map(|budget| {
+        let tracker = Arc::new(BudgetTracker::new(budget));
+        for (host, _) in timing_relations() {
+            tracker.register_site(host);
+        }
+        tracker
+    })
 }
 
 /// Fold one per-row report into its merged whole — the shape shared by
@@ -162,111 +164,61 @@ pub fn merged_repairs(rows: &[SiteTiming]) -> RepairReport {
     merged(rows, |r| &r.repairs, RepairReport::merge)
 }
 
-/// The §7 table: the query against each site in turn. Also returns the
-/// serial wall-clock (sum of elapsed).
-pub fn serial_timing(wb: &Webbase, make: &str, model: &str) -> Vec<SiteTiming> {
-    timing_relations()
-        .into_iter()
-        .map(|(host, relation)| {
-            let map = wb.map_for(host).expect("demo webbase maps every timing site");
-            run_one(wb.web(), map, relation, make, model)
-        })
-        .collect()
-}
-
-/// [`serial_timing`] under one shared query budget: every site draws on
-/// the same deadline and fetch quotas, so the returned snapshot shows
-/// exactly where the budget went (and which sites were denied).
-pub fn serial_timing_budgeted(
+/// The §7 table: the query against each site in turn. Under `budget`
+/// every site draws on one shared tracker — the same deadline and fetch
+/// quotas — and the returned snapshot shows exactly where the budget
+/// went (and which sites were denied).
+pub fn serial_timing(
     wb: &Webbase,
     make: &str,
     model: &str,
-    budget: QueryBudget,
-) -> (Vec<SiteTiming>, BudgetSnapshot) {
-    let tracker = Arc::new(BudgetTracker::new(budget));
-    for (host, _) in timing_relations() {
-        tracker.register_site(host);
-    }
+    budget: Option<QueryBudget>,
+) -> (Vec<SiteTiming>, Option<BudgetSnapshot>) {
+    let tracker = shared_tracker(budget);
     let rows = timing_relations()
         .into_iter()
         .map(|(host, relation)| {
             let map = wb.map_for(host).expect("demo webbase maps every timing site");
-            let row = run_one_with(wb.web(), map, relation, make, model, Some(tracker.clone()));
-            tracker.mark_served(host);
-            row
+            run_one(wb.web(), map, relation, make, model, tracker.as_ref())
         })
         .collect();
-    (rows, tracker.snapshot())
-}
-
-/// [`parallel_timing`] under one shared query budget. The tracker is the
-/// only state the site threads share — quota admission is atomic across
-/// them, so the global quota holds even under concurrency.
-pub fn parallel_timing_budgeted(
-    wb: &Webbase,
-    make: &str,
-    model: &str,
-    budget: QueryBudget,
-) -> (Vec<SiteTiming>, BudgetSnapshot) {
-    let tracker = Arc::new(BudgetTracker::new(budget));
-    let pairs = timing_relations();
-    for (host, _) in &pairs {
-        tracker.register_site(host);
-    }
-    let mut rows: Vec<Option<SiteTiming>> = Vec::new();
-    rows.resize_with(pairs.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, (host, relation)) in pairs.iter().enumerate() {
-            let map = wb.map_for(host).expect("mapped").clone();
-            let web = wb.web().clone();
-            let tracker = tracker.clone();
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let row =
-                        run_one_with(&web, &map, relation, make, model, Some(tracker.clone()));
-                    tracker.mark_served(host);
-                    row
-                }),
-            ));
-        }
-        for (i, h) in handles {
-            rows[i] = Some(h.join().expect("site query thread panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    (rows.into_iter().map(|r| r.expect("every slot filled")).collect(), tracker.snapshot())
+    (rows, tracker.map(|t| t.snapshot()))
 }
 
 /// The same queries, one thread per site (crossbeam scoped threads —
 /// each thread compiles its own navigator; the simulated Web is shared).
-pub fn parallel_timing(wb: &Webbase, make: &str, model: &str) -> Vec<SiteTiming> {
-    let pairs = timing_relations();
-    let mut rows: Vec<Option<SiteTiming>> = Vec::new();
-    rows.resize_with(pairs.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, (host, relation)) in pairs.iter().enumerate() {
-            let map = wb.map_for(host).expect("mapped").clone();
-            let web = wb.web().clone();
-            handles.push((i, scope.spawn(move |_| run_one(&web, &map, relation, make, model))));
-        }
-        for (i, h) in handles {
-            rows[i] = Some(h.join().expect("site query thread panicked"));
-        }
+/// A budget's tracker is the only state the site threads share: quota
+/// admission is atomic across them, so the global quota holds even
+/// under concurrency.
+pub fn parallel_timing(
+    wb: &Webbase,
+    make: &str,
+    model: &str,
+    budget: Option<QueryBudget>,
+) -> (Vec<SiteTiming>, Option<BudgetSnapshot>) {
+    let tracker = shared_tracker(budget);
+    let (web, tracker_ref) = (wb.web(), tracker.as_ref());
+    let rows = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = timing_relations()
+            .into_iter()
+            .map(|(host, relation)| {
+                let map = wb.map_for(host).expect("demo webbase maps every timing site");
+                scope.spawn(move |_| run_one(web, map, relation, make, model, tracker_ref))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("site query thread panicked")).collect()
     })
     .expect("crossbeam scope");
-    rows.into_iter().map(|r| r.expect("every slot filled")).collect()
+    (rows, tracker.map(|t| t.snapshot()))
 }
 
 /// Run both and compare wall-clocks. The *simulated* wall-clock of the
 /// serial run is the sum of per-site elapsed; of the parallel run, the
 /// maximum (sites proceed concurrently).
 pub fn compare(wb: &Webbase, make: &str, model: &str) -> TimingComparison {
-    let rows = serial_timing(wb, make, model);
+    let (rows, _) = serial_timing(wb, make, model, None);
     let serial_wall: Duration = rows.iter().map(|r| r.elapsed).sum();
-    let parallel_rows = parallel_timing(wb, make, model);
+    let (parallel_rows, _) = parallel_timing(wb, make, model, None);
     let parallel_wall: Duration = parallel_rows.iter().map(|r| r.elapsed).max().unwrap_or_default();
     TimingComparison { serial_wall, parallel_wall, rows }
 }
@@ -299,7 +251,8 @@ mod tests {
     #[test]
     fn timing_table_shape() {
         let wb = demo();
-        let rows = serial_timing(&wb, "ford", "escort");
+        let (rows, snap) = serial_timing(&wb, "ford", "escort", None);
+        assert!(snap.is_none(), "an unbudgeted table tracks no spend");
         assert_eq!(rows.len(), 10);
         for r in &rows {
             assert!(r.pages > 0, "{}: no pages", r.site);
@@ -329,8 +282,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_results() {
         let wb = demo();
-        let serial = serial_timing(&wb, "ford", "escort");
-        let parallel = parallel_timing(&wb, "ford", "escort");
+        let (serial, _) = serial_timing(&wb, "ford", "escort", None);
+        let (parallel, _) = parallel_timing(&wb, "ford", "escort", None);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.site, p.site);
@@ -345,19 +298,20 @@ mod tests {
         // 10 sites, quota 20, fair share on: every site's floor of 2 is
         // reserved, so nobody starves.
         let budget = QueryBudget::unlimited().with_fetch_quota(20).with_fair_share(true);
-        let (rows, snap) = serial_timing_budgeted(&wb, "ford", "escort", budget);
+        let (rows, snap) = serial_timing(&wb, "ford", "escort", Some(budget));
+        let snap = snap.expect("a budgeted table snapshots its spend");
         assert!(rows.iter().all(|r| r.pages >= 1), "{}", render_table(&rows));
         assert_eq!(snap.fetches, 20, "the whole quota is spent");
         assert!(snap.exhausted.is_some());
         // Same quota without fair share: the sites early in the row
         // order drain it and the tail gets nothing.
-        let (rows, snap) = serial_timing_budgeted(
+        let (rows, snap) = serial_timing(
             &wb,
             "ford",
             "escort",
-            QueryBudget::unlimited().with_fetch_quota(20),
+            Some(QueryBudget::unlimited().with_fetch_quota(20)),
         );
-        assert!(snap.fetches <= 20);
+        assert!(snap.expect("snapshot").fetches <= 20);
         assert_eq!(
             rows.last().expect("rows").pages,
             0,
@@ -369,12 +323,13 @@ mod tests {
     #[test]
     fn parallel_budget_is_shared_across_threads() {
         let wb = demo();
-        let (rows, snap) = parallel_timing_budgeted(
+        let (rows, snap) = parallel_timing(
             &wb,
             "ford",
             "escort",
-            QueryBudget::unlimited().with_fetch_quota(15),
+            Some(QueryBudget::unlimited().with_fetch_quota(15)),
         );
+        let snap = snap.expect("a budgeted table snapshots its spend");
         assert!(snap.fetches <= 15, "admission is atomic across site threads");
         let total: u32 = rows.iter().map(|r| r.pages).sum();
         assert!(total <= 15, "page spend bounded by the shared quota, got {total}");

@@ -1,14 +1,14 @@
 //! The assembled webbase.
 
 use crate::corpus::Corpus;
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, EngineError, QueryOptions, QueryOutcome};
 use std::sync::Arc;
-use webbase_logical::{LogicalLayer, Obs, QueryObservation};
+use webbase_logical::LogicalLayer;
 use webbase_navigation::map::NavigationMap;
 use webbase_navigation::recorder::{MapStats, RecordError};
 use webbase_relational::Relation;
 use webbase_ur::plan::{UrError, UrPlan, UrPlanner};
-use webbase_ur::query::{parse_query, UrQuery};
+use webbase_ur::query::parse_query;
 use webbase_webworld::prelude::*;
 
 /// What building a webbase produced: per-site maps and their §7
@@ -155,81 +155,42 @@ impl Webbase {
         self.engine.check()
     }
 
-    /// Execute a parsed structured-UR query on the webbase's session,
-    /// under the query's own budget if it carries one. With `resume`,
-    /// the token's journal is preloaded into the page caches (those
-    /// pages are never re-fetched) and, unless the query brings a fresh
-    /// budget, the token's budget covers the unfinished tail.
-    pub fn execute(
-        &mut self,
-        query: &UrQuery,
-        resume: Option<&webbase_logical::ResumeToken>,
-    ) -> Result<(Relation, UrPlan), WebbaseError> {
-        let planner = self.engine.planner();
-        planner.execute_with(query, &mut self.layer, resume).map_err(WebbaseError::Plan)
-    }
-
-    /// Parse and execute a structured-UR query.
+    /// Parse and run a structured-UR query on the webbase's session.
     pub fn query(&mut self, text: &str) -> Result<(Relation, UrPlan), WebbaseError> {
-        let q = parse_query(text).map_err(WebbaseError::Query)?;
-        self.execute(&q, None)
+        let outcome = self.query_with(text, QueryOptions::default())?;
+        Ok((outcome.relation, Arc::unwrap_or_clone(outcome.plan)))
     }
 
-    /// Parse and execute a structured-UR query with full observability:
-    /// a fresh trace sink and metrics registry are attached for the
-    /// duration of the execution and detached afterwards, so the
-    /// returned [`QueryObservation`] describes exactly this query —
+    /// Parse and run a structured-UR query on the webbase's session
+    /// under `options`. A budgeted run that runs out yields the sound
+    /// partial result, and its plan carries the spend snapshot and a
+    /// resume token; resuming from that token preloads its journal, so
+    /// those pages are never re-fetched, and a fresh budget — the
+    /// options' own, else the token's — covers the unfinished tail. A
+    /// traced run returns its [`QueryObservation`]:
     /// every plan step, rewrite, handle invocation, navigation step,
-    /// fetch disposition, and repair, stamped with the simulated clock.
-    /// Per seed the rendered trace is byte-identical run to run.
-    pub fn query_traced(
+    /// fetch disposition and repair, stamped with the simulated clock
+    /// and byte-identical run to run per seed. The budget, cancel token
+    /// and trace handle last for this run only; an untraced run reports
+    /// into whatever handle is attached to [`Webbase::layer`].
+    ///
+    /// [`QueryObservation`]: webbase_logical::QueryObservation
+    pub fn query_with(
         &mut self,
         text: &str,
-    ) -> Result<(Relation, UrPlan, QueryObservation), WebbaseError> {
+        options: QueryOptions,
+    ) -> Result<QueryOutcome, WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
-        let obs = Obs::full();
-        self.layer.vps.set_obs(obs.clone());
-        let out = self.execute(&q, None);
-        let observation = QueryObservation {
-            trace: obs.sink.finish(),
-            metrics: obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default(),
-        };
-        self.layer.vps.set_obs(Obs::none());
-        let (rel, plan) = out?;
-        Ok((rel, plan, observation))
-    }
-
-    /// Parse and execute a structured-UR query under a resource budget.
-    /// Exhaustion yields the sound partial result; the returned plan then
-    /// carries the spend snapshot and a resume token (see
-    /// [`Webbase::resume`]).
-    pub fn query_with_budget(
-        &mut self,
-        text: &str,
-        budget: webbase_logical::QueryBudget,
-    ) -> Result<(Relation, UrPlan), WebbaseError> {
-        let q = parse_query(text).map_err(WebbaseError::Query)?.with_budget(budget);
-        self.execute(&q, None)
-    }
-
-    /// Re-run a query from an earlier run's resume token: the token's
-    /// journal is preloaded into the page caches (those pages are never
-    /// re-fetched) and a fresh budget — the token's own, unless the query
-    /// text is paired with a new one via [`Webbase::query_with_budget`]'s
-    /// semantics — covers the unfinished tail.
-    pub fn resume(
-        &mut self,
-        text: &str,
-        token: &webbase_logical::ResumeToken,
-    ) -> Result<(Relation, UrPlan), WebbaseError> {
-        let q = parse_query(text).map_err(WebbaseError::Query)?;
-        self.execute(&q, Some(token))
+        self.engine.execute(&mut self.layer, &q, None, &[], &options).map_err(WebbaseError::Plan)
     }
 
     /// Plan a query without executing it (for EXPLAIN-style output).
     pub fn explain(&self, text: &str) -> Result<UrPlan, WebbaseError> {
-        let q = parse_query(text).map_err(WebbaseError::Query)?;
-        self.engine.planner().plan(&q, &self.layer).map_err(WebbaseError::Plan)
+        self.engine.explain(text).map_err(|e| match e {
+            EngineError::Query(e) => WebbaseError::Query(e),
+            EngineError::Plan(e) => WebbaseError::Plan(e),
+            other => unreachable!("explain neither admits nor runs a query: {other}"),
+        })
     }
 
     /// The map loaded for `host`, if any.
@@ -238,8 +199,8 @@ impl Webbase {
     }
 
     /// The UR's attribute list (the user's attribute picker).
-    pub fn ur_attributes(&self) -> Vec<String> {
-        self.engine.ur_attributes()
+    pub fn ur_attributes(&self) -> &[String] {
+        self.planner().ur_attributes()
     }
 
     /// Run a §7-style `SELECT … WHERE …` query against one relation —
@@ -335,9 +296,10 @@ mod tests {
         assert!(!full.is_empty());
 
         let mut wb = demo();
-        let (mut result, plan) =
-            wb.query_with_budget(q, QueryBudget::unlimited().with_fetch_quota(10)).expect("runs");
-        let mut token = plan.resume;
+        let quota = QueryBudget::unlimited().with_fetch_quota(10);
+        let out = wb.query_with(q, QueryOptions::budgeted(quota)).expect("runs");
+        let mut result = out.relation;
+        let mut token = out.plan.resume.clone();
         assert!(token.is_some(), "a quota of 10 cannot finish the ford query");
         let mut journal_len = 0;
         let mut rounds = 0;
@@ -349,14 +311,14 @@ mod tests {
             // Fresh webbase per round: only the token carries state over.
             let mut next = demo();
             let before = next.web().total_stats().requests;
-            let (r, p) = next.resume(q, &t).expect("resumes");
+            let out = next.query_with(q, QueryOptions::resuming(t)).expect("resumes");
             let spent = (next.web().total_stats().requests - before) as usize;
             assert!(
                 spent + journal_len <= full_requests as usize,
                 "a resumed run re-fetched journalled pages ({spent} new + {journal_len} journalled > {full_requests} total)"
             );
-            result = r;
-            token = p.resume;
+            result = out.relation;
+            token = out.plan.resume.clone();
         }
         assert_eq!(result, full, "partial runs resumed to exactly the unbounded answer");
     }

@@ -374,15 +374,20 @@ impl Browser {
         self.degradation.site_mut(host).branches_abandoned += 1;
     }
 
-    /// Attach the query budget this session spends against.
-    pub fn set_budget(&mut self, budget: Arc<BudgetTracker>) {
-        self.budget = Some(budget);
+    /// Attach the query budget this session spends against, or detach
+    /// it with `None`. Detaching also drops the journal: it belongs to
+    /// the budgeted run that ends there.
+    pub fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
+        if budget.is_none() {
+            self.journal.clear();
+        }
+        self.budget = budget;
     }
 
     /// Attach the cancellation token this session polls at every budget
-    /// checkpoint.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
+    /// checkpoint, or detach it with `None`.
+    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
+        self.cancel = cancel;
     }
 
     /// Attach (or detach, with [`Obs::none`]) the observability handle.
@@ -1236,7 +1241,9 @@ mod tests {
     fn budget_quota_denial_fails_cleanly() {
         use crate::budget::{BudgetTracker, QueryBudget};
         let mut b = Browser::new(single_site_web(RecoveringSite::new(0)));
-        b.set_budget(Arc::new(BudgetTracker::new(QueryBudget::unlimited().with_fetch_quota(1))));
+        b.set_budget(Some(Arc::new(BudgetTracker::new(
+            QueryBudget::unlimited().with_fetch_quota(1),
+        ))));
         b.goto(Url::new("recover.test", "/")).expect("first fetch admitted");
         b.goto(Url::new("recover.test", "/")).expect("cache hit is free");
         let err = b.goto(Url::new("recover.test", "/other")).expect_err("quota spent");
@@ -1261,7 +1268,7 @@ mod tests {
         let deadline = Duration::from_millis(50);
         let tracker =
             Arc::new(BudgetTracker::new(QueryBudget::unlimited().with_deadline(deadline)));
-        b.set_budget(tracker.clone());
+        b.set_budget(Some(tracker.clone()));
         // First attempt fails; the 100ms backoff exceeds the 50ms left,
         // so the retry is abandoned and only the remainder is charged —
         // never simulated time past the point any caller could use the
@@ -1277,7 +1284,7 @@ mod tests {
     fn preloaded_journal_pages_serve_from_cache() {
         use crate::budget::{BudgetTracker, QueryBudget};
         let mut first = Browser::new(single_site_web(RecoveringSite::new(0)));
-        first.set_budget(Arc::new(BudgetTracker::new(QueryBudget::unlimited())));
+        first.set_budget(Some(Arc::new(BudgetTracker::new(QueryBudget::unlimited()))));
         let page = first.goto(Url::new("recover.test", "/")).expect("loads");
         let journal: Vec<_> = first.journal().to_vec();
         assert_eq!(journal.len(), 1);
@@ -1310,7 +1317,7 @@ mod tests {
         let tracker = Arc::new(BudgetTracker::new(
             QueryBudget::unlimited().with_deadline(Duration::from_secs(1)),
         ));
-        b.set_budget(tracker);
+        b.set_budget(Some(tracker));
         let fetches = b.fetches;
         let err = b.goto(url).expect_err("probe deferred");
         assert!(matches!(err, BrowseError::CircuitOpen { .. }));

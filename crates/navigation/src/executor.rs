@@ -203,13 +203,15 @@ impl NavOracle {
         self.browser.session_recoveries()
     }
 
-    /// Attach the query budget this oracle's browser spends against.
-    pub fn set_budget(&mut self, budget: Arc<BudgetTracker>) {
+    /// Attach (or detach, with `None`) the query budget this oracle's
+    /// browser spends against.
+    pub fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
         self.browser.set_budget(budget);
     }
 
-    /// Attach the cancellation token this oracle's browser polls.
-    pub fn set_cancel(&mut self, cancel: crate::cancel::CancelToken) {
+    /// Attach (or detach) the cancellation token this oracle's browser
+    /// polls.
+    pub fn set_cancel(&mut self, cancel: Option<crate::cancel::CancelToken>) {
         self.browser.set_cancel(cancel);
     }
 
@@ -837,14 +839,15 @@ impl SiteNavigator {
         report
     }
 
-    /// Attach the query budget every subsequent run spends against.
-    pub fn set_budget(&self, budget: Arc<BudgetTracker>) {
+    /// Attach the query budget every subsequent run spends against, or
+    /// detach it (and the journal of the run it covered) with `None`.
+    pub fn set_budget(&self, budget: Option<Arc<BudgetTracker>>) {
         self.oracle.lock().set_budget(budget);
     }
 
     /// Attach the cancellation token every subsequent run polls at its
-    /// budget checkpoints.
-    pub fn set_cancel(&self, cancel: crate::cancel::CancelToken) {
+    /// budget checkpoints, or detach it with `None`.
+    pub fn set_cancel(&self, cancel: Option<crate::cancel::CancelToken>) {
         self.oracle.lock().set_cancel(cancel);
     }
 

@@ -83,8 +83,8 @@ impl Obs {
     }
 }
 
-/// What `Webbase::query_traced` hands back next to the answer: the
-/// finished span tree and a final metrics snapshot.
+/// What a traced query (`QueryOptions::traced()`) hands back next to
+/// the answer: the finished span tree and a final metrics snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct QueryObservation {
     pub trace: QueryTrace,

@@ -26,7 +26,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 use webbase_logical::{
-    BudgetSnapshot, BudgetTracker, LogicalLayer, ResumeToken, SpanHandle, SpanKind, QUERY_TRACK,
+    BudgetSnapshot, LogicalLayer, ResumeToken, SpanHandle, SpanKind, QUERY_TRACK,
 };
 use webbase_relational::eval::{AccessSpec, CompiledExpr, EvalError, Evaluator, RelationProvider};
 use webbase_relational::ordering::{order_exact, JoinInput};
@@ -50,7 +50,7 @@ impl PlannedObject {
     /// Evaluate this object's expression over `layer`, compiling it on
     /// the first call. Every later call must run over a layer with the
     /// same schemas and handles — the condition under which a plan may
-    /// be reused at all (see [`UrPlanner::execute_planned`]).
+    /// be reused at all (see [`UrPlanner::execute`]).
     pub fn eval(&self, layer: &mut LogicalLayer) -> Result<Relation, EvalError> {
         let compiled =
             self.compiled.get_or_init(|| Arc::new(CompiledExpr::new(&self.expr, &*layer, false)));
@@ -79,19 +79,19 @@ pub struct UrPlan {
     /// runs replayed, sessions recovered, nodes quarantined (same
     /// lifecycle as `degradation`).
     pub repairs: webbase_logical::RepairReport,
-    /// Spend accounting when the query carried a budget: elapsed
+    /// Spend accounting when the run carried a budget: elapsed
     /// simulated time, fetches, and the per-site breakdown including
     /// every denial.
     pub budget: Option<BudgetSnapshot>,
     /// Set when the budget ran out before the plan finished: replaying
-    /// the query with this token (see [`UrPlanner::execute_with`])
-    /// continues from the journalled pages without re-fetching them.
+    /// the query with this token (see [`UrPlanner::execute`]) continues
+    /// from the journalled pages without re-fetching them.
     pub resume: Option<ResumeToken>,
     /// Each object's individual result, in `objects` order (empty until
     /// execution). The full answer is their union in this order; keeping
     /// the per-object values lets a maintained view re-run only the
     /// objects a drift event touched and take the others' stored
-    /// results (see [`UrPlanner::execute_planned`]).
+    /// results (see [`UrPlanner::execute`]).
     pub object_results: Vec<Relation>,
 }
 
@@ -151,10 +151,8 @@ impl From<EvalError> for UrError {
 /// The query-independent input of planning: the UR attribute list and
 /// every non-empty compatible set with the attributes it covers. It
 /// depends only on the hierarchy, the rules and the logical schemas, so
-/// it holds for every layer over the corpus it was built from; the
-/// multi-query engine builds it once.
-#[derive(Debug, Clone)]
-pub struct PlanIndex {
+/// it holds for every layer over the corpus it was built from.
+struct PlanIndex {
     /// UR attributes in first-seen order.
     attributes: Vec<String>,
     /// Attribute → its position in `attributes`.
@@ -165,9 +163,33 @@ pub struct PlanIndex {
 }
 
 impl PlanIndex {
-    /// The UR attributes in first-seen order.
-    pub fn attributes(&self) -> &[String] {
-        &self.attributes
+    /// Index `hierarchy` and `rules` over `layer`'s logical schemas.
+    fn new(hierarchy: &Hierarchy, rules: &CompatRules, layer: &LogicalLayer) -> PlanIndex {
+        let mut index = PlanIndex { attributes: Vec::new(), ids: HashMap::new(), sets: Vec::new() };
+        // Each alternative's attribute positions, by name (the first
+        // alternative of a name wins, as in `Hierarchy::alternative`).
+        let mut provides: HashMap<&str, Vec<usize>> = HashMap::new();
+        for alt in hierarchy.alternatives() {
+            let schema = layer.schema(&alt.relation);
+            let mut ids = Vec::new();
+            for a in schema.iter().flat_map(Schema::attrs) {
+                let next = index.attributes.len();
+                let id = *index.ids.entry(a.as_str().to_string()).or_insert(next);
+                if id == next {
+                    index.attributes.push(a.as_str().to_string());
+                }
+                ids.push(id);
+            }
+            provides.entry(alt.name.as_str()).or_insert(ids);
+        }
+        for set in compatible_sets(hierarchy, rules) {
+            if !set.is_empty() {
+                let covered =
+                    index.bits(set.iter().filter_map(|n| provides.get(n.as_str())).flatten());
+                index.sets.push((set, covered));
+            }
+        }
+        index
     }
 
     /// A bitset over the UR attributes, with the given positions set.
@@ -184,61 +206,29 @@ impl PlanIndex {
 pub struct UrPlanner {
     pub hierarchy: Hierarchy,
     pub rules: CompatRules,
+    /// Built once, by [`UrPlanner::new`].
+    index: PlanIndex,
 }
 
 impl UrPlanner {
-    pub fn new(hierarchy: Hierarchy, rules: CompatRules) -> UrPlanner {
-        UrPlanner { hierarchy, rules }
+    /// A planner over `layer`'s logical schemas, with its planning index
+    /// built here, once. Every layer it later plans or runs on must have
+    /// the same logical schemas and handles — as every session an engine
+    /// builds from its shared artifacts does.
+    pub fn new(hierarchy: Hierarchy, rules: CompatRules, layer: &LogicalLayer) -> UrPlanner {
+        let index = PlanIndex::new(&hierarchy, &rules, layer);
+        UrPlanner { hierarchy, rules, index }
     }
 
-    /// Build the planning index over `layer`'s logical schemas.
-    pub fn index(&self, layer: &LogicalLayer) -> PlanIndex {
-        let mut index = PlanIndex { attributes: Vec::new(), ids: HashMap::new(), sets: Vec::new() };
-        // Each alternative's attribute positions, by name (the first
-        // alternative of a name wins, as in `Hierarchy::alternative`).
-        let mut provides: HashMap<&str, Vec<usize>> = HashMap::new();
-        for alt in self.hierarchy.alternatives() {
-            let schema = layer.schema(&alt.relation);
-            let mut ids = Vec::new();
-            for a in schema.iter().flat_map(Schema::attrs) {
-                let next = index.attributes.len();
-                let id = *index.ids.entry(a.as_str().to_string()).or_insert(next);
-                if id == next {
-                    index.attributes.push(a.as_str().to_string());
-                }
-                ids.push(id);
-            }
-            provides.entry(alt.name.as_str()).or_insert(ids);
-        }
-        for set in compatible_sets(&self.hierarchy, &self.rules) {
-            if !set.is_empty() {
-                let covered =
-                    index.bits(set.iter().filter_map(|n| provides.get(n.as_str())).flatten());
-                index.sets.push((set, covered));
-            }
-        }
-        index
-    }
-
-    /// The UR's full attribute list (for rendering Figure 5 and for the
-    /// user interface's attribute picker).
-    pub fn ur_attributes(&self, layer: &LogicalLayer) -> Vec<String> {
-        self.index(layer).attributes
+    /// The UR's full attribute list, in first-seen order (for rendering
+    /// Figure 5 and for the user interface's attribute picker).
+    pub fn ur_attributes(&self) -> &[String] {
+        &self.index.attributes
     }
 
     /// Plan a query against a logical layer.
     pub fn plan(&self, query: &UrQuery, layer: &LogicalLayer) -> Result<UrPlan, UrError> {
-        self.plan_with(query, layer, &self.index(layer))
-    }
-
-    /// Plan a query with a prebuilt index, which must come from a layer
-    /// with the same logical schemas as `layer`.
-    pub fn plan_with(
-        &self,
-        query: &UrQuery,
-        layer: &LogicalLayer,
-        index: &PlanIndex,
-    ) -> Result<UrPlan, UrError> {
+        let index = &self.index;
         // Computed columns are defined by the query itself; the base
         // relations only need to cover their *inputs*.
         let mentioned = query.base_mentioned();
@@ -397,43 +387,37 @@ impl UrPlanner {
         Ok(optimized)
     }
 
-    /// Plan and execute: the union over the objects' results.
+    /// Run `query`: the union over its plan objects' results, in plan
+    /// order. The one execution path, for every caller.
+    ///
+    /// `plan`, when given, must come from [`UrPlanner::plan`] for
+    /// `query` over a layer with the same schemas and handles — the
+    /// multi-query engine's situation: every session is built from the
+    /// same shared artifacts, so a plan computed once serves every later
+    /// run, and its objects compile into it on the first. Without one,
+    /// the query is planned here, inside the Query span.
+    ///
+    /// `stored` holds, per object in plan order, a result to take
+    /// instead of evaluating the object; objects past its end, or with
+    /// `None`, are evaluated. A maintained view passes the results of
+    /// the objects drift did not touch, so the answer is the union a
+    /// cold run folds, in the same order.
+    ///
+    /// The run spends against whatever budget tracker the layer carries.
+    /// Exhaustion does not fail the query: the affected navigation
+    /// branches are abandoned soundly, the partial result is returned,
+    /// and the plan carries the spend snapshot and a [`ResumeToken`]
+    /// journalling every page already paid for. `resume` preloads an
+    /// earlier run's token into the page caches, so the resumed run
+    /// re-fetches none of its pages and spends its budget entirely on
+    /// the unfinished tail.
     pub fn execute(
         &self,
         query: &UrQuery,
-        layer: &mut LogicalLayer,
-    ) -> Result<(Relation, UrPlan), UrError> {
-        self.execute_with(query, layer, None)
-    }
-
-    /// Plan and execute under the query's budget, optionally resuming
-    /// from an earlier run's token.
-    ///
-    /// With a budget attached, exhaustion does not fail the query: the
-    /// affected navigation branches are abandoned soundly, the partial
-    /// result is returned, and the plan carries a [`ResumeToken`]
-    /// journalling every page already paid for. Re-running through this
-    /// method with that token preloads the journal into the page caches,
-    /// so the resumed execution re-fetches none of them and spends its
-    /// fresh budget entirely on the unfinished tail.
-    pub fn execute_with(
-        &self,
-        query: &UrQuery,
-        layer: &mut LogicalLayer,
+        plan: Option<&UrPlan>,
+        stored: &[Option<Relation>],
         resume: Option<&ResumeToken>,
-    ) -> Result<(Relation, UrPlan), UrError> {
-        let index = self.index(layer);
-        self.execute_with_index(query, layer, &index, resume)
-    }
-
-    /// [`UrPlanner::execute_with`] with a prebuilt planning index (see
-    /// [`UrPlanner::plan_with`]).
-    pub fn execute_with_index(
-        &self,
-        query: &UrQuery,
         layer: &mut LogicalLayer,
-        index: &PlanIndex,
-        resume: Option<&ResumeToken>,
     ) -> Result<(Relation, UrPlan), UrError> {
         // The Query root span is begun *before* planning so the Plan
         // span (and the rewrite/object events it emits) nest under it.
@@ -448,82 +432,30 @@ impl UrPlanner {
         } else {
             SpanHandle::INERT
         };
-        let plan_span = if obs.tracing() {
-            obs.sink.begin(QUERY_TRACK, SpanKind::Plan, "plan".to_string(), Vec::new())
-        } else {
-            SpanHandle::INERT
-        };
-        let planned = self.plan_with(query, layer, index);
-        if obs.tracing() {
-            match &planned {
-                Ok(p) => obs.sink.end_with(
-                    plan_span,
-                    vec![
-                        ("objects", p.objects.len().to_string()),
-                        ("skipped", p.skipped.len().to_string()),
-                    ],
-                ),
-                Err(e) => obs.sink.end_with(plan_span, vec![("error", e.to_string())]),
+        let plan = match plan {
+            Some(plan) => Cow::Borrowed(plan),
+            None => {
+                let plan_span = if obs.tracing() {
+                    obs.sink.begin(QUERY_TRACK, SpanKind::Plan, "plan".to_string(), Vec::new())
+                } else {
+                    SpanHandle::INERT
+                };
+                let planned = self.plan(query, layer);
+                if obs.tracing() {
+                    match &planned {
+                        Ok(p) => obs.sink.end_with(
+                            plan_span,
+                            vec![
+                                ("objects", p.objects.len().to_string()),
+                                ("skipped", p.skipped.len().to_string()),
+                            ],
+                        ),
+                        Err(e) => obs.sink.end_with(plan_span, vec![("error", e.to_string())]),
+                    }
+                }
+                Cow::Owned(planned?)
             }
-        }
-        let plan = planned?;
-        self.run_plan(query, Cow::Owned(plan), &[], layer, resume, root)
-    }
-
-    /// Execute a *previously computed* plan, skipping the planning
-    /// pass. Sound only when `plan` came from [`UrPlanner::plan`] for
-    /// the same query text over a layer with the same schema and
-    /// handles — which is exactly the multi-query engine's situation:
-    /// every per-query session is built from the same shared artifacts,
-    /// so a plan computed once is valid for every session, and the
-    /// engine caches it by query text.
-    ///
-    /// `stored` holds, per object in plan order, a result to take
-    /// instead of evaluating the object; objects past its end, or with
-    /// `None`, are evaluated. A maintained view passes the results of
-    /// the objects drift did not touch, so the answer is the union a
-    /// cold run folds, in the same order.
-    pub fn execute_planned(
-        &self,
-        query: &UrQuery,
-        plan: &UrPlan,
-        stored: &[Option<Relation>],
-        layer: &mut LogicalLayer,
-    ) -> Result<(Relation, UrPlan), UrError> {
-        let obs = layer.vps.obs().clone();
-        let root = if obs.tracing() {
-            obs.sink.begin(
-                QUERY_TRACK,
-                SpanKind::Query,
-                format!("{}({})", query.ur_name, query.outputs.join(", ")),
-                vec![("plan", "cached".to_string())],
-            )
-        } else {
-            SpanHandle::INERT
         };
-        // Borrowed, so the objects compile into the caller's plan and
-        // every later run of it reuses them.
-        self.run_plan(query, Cow::Borrowed(plan), stored, layer, None, root)
-    }
-
-    fn run_plan(
-        &self,
-        query: &UrQuery,
-        plan: Cow<'_, UrPlan>,
-        stored: &[Option<Relation>],
-        layer: &mut LogicalLayer,
-        resume: Option<&ResumeToken>,
-        root: SpanHandle,
-    ) -> Result<(Relation, UrPlan), UrError> {
-        let obs = layer.vps.obs().clone();
-        // A resumed run inherits the original budget unless the query
-        // supplies its own.
-        let budget_spec = query.budget.clone().or_else(|| resume.map(|t| t.budget.clone()));
-        let tracker = budget_spec.map(|b| {
-            let tracker = Arc::new(BudgetTracker::new(b));
-            layer.vps.set_budget(tracker.clone());
-            tracker
-        });
         if let Some(token) = resume {
             layer.vps.preload(token);
         }
@@ -577,7 +509,7 @@ impl UrPlanner {
         plan.object_results = object_results;
         plan.degradation = layer.vps.degradation().since(&degradation_before);
         plan.repairs = layer.vps.repairs().since(&repairs_before);
-        if let Some(tracker) = tracker {
+        if let Some(tracker) = layer.vps.budget() {
             plan.budget = Some(tracker.snapshot());
             if tracker.exhausted().is_some() {
                 plan.resume = layer.vps.resume_token().map(|mut t| {
@@ -632,16 +564,17 @@ mod tests {
         (LogicalLayer::new(cat, paper_schema()), data)
     }
 
-    fn planner() -> UrPlanner {
-        UrPlanner::new(figure5(), example62_rules())
+    pub(super) fn planner(layer: &LogicalLayer) -> UrPlanner {
+        UrPlanner::new(figure5(), example62_rules(), layer)
     }
 
     #[test]
     fn ur_attributes_cover_the_domain() {
         let (layer, _) = layer();
-        let attrs = planner().ur_attributes(&layer);
+        let planner = planner(&layer);
+        let attrs = planner.ur_attributes();
         for a in ["make", "model", "year", "price", "bbprice", "rate", "cost", "safety"] {
-            assert!(attrs.contains(&a.to_string()), "missing {a}");
+            assert!(attrs.iter().any(|x| x == a), "missing {a}");
         }
     }
 
@@ -651,7 +584,7 @@ mod tests {
         // the attributes its logical relation adds.
         let (layer, _) = layer();
         assert_eq!(
-            planner().ur_attributes(&layer),
+            planner(&layer).ur_attributes(),
             [
                 "make",
                 "model",
@@ -679,7 +612,7 @@ mod tests {
         // covering sets (Dealers, Classifieds) → union of both.
         let (layer, _) = layer();
         let q = parse_query("UsedCarUR(make='ford', price)").expect("parses");
-        let plan = planner().plan(&q, &layer).expect("plans");
+        let plan = planner(&layer).plan(&q, &layer).expect("plans");
         assert_eq!(plan.objects.len(), 2, "{}", plan.render());
         assert!(plan.skipped.is_empty());
         let rendered = plan.render();
@@ -695,7 +628,7 @@ mod tests {
         // mention cost (insurance) and rate; bind zip/duration/condition.
         let q = parse_query("UsedCarUR(make='ford', price, rate, cost, zip='10001', duration=36)")
             .expect("parses");
-        let plan = planner().plan(&q, &layer).expect("plans");
+        let plan = planner(&layer).plan(&q, &layer).expect("plans");
         for obj in &plan.objects {
             if obj.alternatives.contains("Lease") {
                 assert!(
@@ -720,7 +653,7 @@ mod tests {
         // bbprice needs condition (kellys mandatory); unbound → the plan
         // must fail with a binding explanation, not an empty answer.
         let q = parse_query("UsedCarUR(make='ford', bbprice)").expect("parses");
-        let err = planner().plan(&q, &layer).expect_err("needs condition");
+        let err = planner(&layer).plan(&q, &layer).expect_err("needs condition");
         assert!(matches!(err, UrError::InsufficientBindings(_)), "{err}");
     }
 
@@ -728,21 +661,24 @@ mod tests {
     fn unknown_attribute_rejected() {
         let (layer, _) = layer();
         let q = parse_query("UsedCarUR(warp_drive)").expect("parses");
-        assert!(matches!(planner().plan(&q, &layer), Err(UrError::UnknownAttribute(_))));
+        assert!(matches!(planner(&layer).plan(&q, &layer), Err(UrError::UnknownAttribute(_))));
     }
 
     #[test]
     fn budgeted_execution_returns_sound_partial_results_and_a_token() {
-        use webbase_logical::QueryBudget;
+        use webbase_logical::{BudgetTracker, QueryBudget};
         let (mut unbounded, _) = layer();
         let q = parse_query("UsedCarUR(make='ford', price)").expect("parses");
-        let (full, _) = planner().execute(&q, &mut unbounded).expect("executes");
+        let (full, _) =
+            planner(&unbounded).execute(&q, None, &[], None, &mut unbounded).expect("executes");
         assert!(!full.is_empty());
 
         let (mut tight, _) = layer();
-        let bq = q.clone().with_budget(QueryBudget::unlimited().with_fetch_quota(2));
-        let (partial, plan) =
-            planner().execute(&bq, &mut tight).expect("exhaustion degrades, never fails");
+        let quota = QueryBudget::unlimited().with_fetch_quota(2);
+        tight.vps.set_budget(Some(Arc::new(BudgetTracker::new(quota))));
+        let (partial, plan) = planner(&tight)
+            .execute(&q, None, &[], None, &mut tight)
+            .expect("exhaustion degrades, never fails");
         assert!(partial.len() < full.len(), "{} vs {}", partial.len(), full.len());
         for t in partial.tuples() {
             assert!(full.tuples().contains(t), "partial tuple absent from the unbounded run");
@@ -769,7 +705,8 @@ mod tests {
              safety='good', condition='good') WHERE price < bbprice",
         )
         .expect("parses");
-        let (result, plan) = planner().execute(&q, &mut layer).expect("executes");
+        let (result, plan) =
+            planner(&layer).execute(&q, None, &[], None, &mut layer).expect("executes");
         assert!(!plan.objects.is_empty(), "{}", plan.render());
 
         // Ground truth: jaguar ads (any source site we model as
@@ -814,9 +751,6 @@ mod tests {
 
 #[cfg(test)]
 mod computed_plan_tests {
-    use super::*;
-    use crate::compat::example62_rules;
-    use crate::hierarchy::figure5;
     use crate::query::parse_query;
 
     /// The §6.2 query: "make a list of used Jaguars … such that each
@@ -825,7 +759,7 @@ mod computed_plan_tests {
     #[test]
     fn section62_monthly_payment_query() {
         let (mut layer, _) = super::tests::layer();
-        let planner = UrPlanner::new(figure5(), example62_rules());
+        let planner = super::tests::planner(&layer);
 
         // A simple amortisation approximation: total interest at the
         // quoted APR over the term, spread over the months.
@@ -836,7 +770,7 @@ mod computed_plan_tests {
              WHERE payment < 1000 AND price < bbprice",
         )
         .expect("parses");
-        let (result, plan) = planner.execute(&q, &mut layer).expect("executes");
+        let (result, plan) = planner.execute(&q, None, &[], None, &mut layer).expect("executes");
         assert!(!plan.objects.is_empty(), "{}", plan.render());
         // Lease and Loan objects both planned (both finance meanings).
         assert!(plan.objects.iter().any(|o| o.alternatives.contains("Loan")), "{}", plan.render());

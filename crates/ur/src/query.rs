@@ -14,7 +14,6 @@
 //! attribute; attributes with a comparison also impose a condition. The
 //! optional `WHERE` clause holds attribute-to-attribute comparisons.
 
-use webbase_logical::QueryBudget;
 use webbase_relational::arith::ArithExpr;
 use webbase_relational::predicate::Op;
 use webbase_relational::{Pred, Value};
@@ -32,19 +31,9 @@ pub struct UrQuery {
     /// Computed columns `name := formula` (the §6.2 monthly-payment
     /// case), in mention order.
     pub computed: Vec<(String, ArithExpr)>,
-    /// Resource budget the execution must honour; `None` runs unbounded.
-    /// Set by the caller ([`UrQuery::with_budget`]) — the concrete query
-    /// syntax carries no budget clause.
-    pub budget: Option<QueryBudget>,
 }
 
 impl UrQuery {
-    /// Attach an execution budget (deadline / fetch quotas) to the query.
-    pub fn with_budget(mut self, budget: QueryBudget) -> UrQuery {
-        self.budget = Some(budget);
-        self
-    }
-
     /// All attributes the query mentions (outputs ∪ condition attrs ∪
     /// formula inputs), including computed names.
     pub fn mentioned(&self) -> Vec<String> {
@@ -193,7 +182,7 @@ pub fn parse_query(text: &str) -> Result<UrQuery, QueryParseError> {
     if p.i < p.t.len() {
         return Err(p.err("trailing input"));
     }
-    Ok(UrQuery { ur_name, outputs, conditions, attr_conditions, computed, budget: None })
+    Ok(UrQuery { ur_name, outputs, conditions, attr_conditions, computed })
 }
 
 /// Byte-oriented scanner. Positions only ever advance past ASCII bytes

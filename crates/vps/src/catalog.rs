@@ -331,12 +331,8 @@ impl VpsCatalog {
         if let Some(pool) = &self.pool {
             navigator.set_pool(pool.clone());
         }
-        if let Some(budget) = &self.budget {
-            navigator.set_budget(budget.clone());
-        }
-        if let Some(cancel) = &self.cancel {
-            navigator.set_cancel(cancel.clone());
-        }
+        navigator.set_budget(self.budget.clone());
+        navigator.set_cancel(self.cancel.clone());
         navigator.set_obs(self.obs.clone());
         let navigator = Arc::new(navigator);
         self.navigators[site] = Some(navigator.clone());
@@ -374,17 +370,24 @@ impl VpsCatalog {
         report
     }
 
-    /// Attach a query budget: every navigator shares the one tracker,
-    /// and every mapped site is registered up front so fair-share
-    /// floors also cover sites the query has not reached yet.
-    pub fn set_budget(&mut self, budget: Arc<BudgetTracker>) {
-        for site in &self.shape.sites {
-            budget.register_site(&site.map.site);
+    /// Attach a query budget, or detach it with `None`. Every navigator
+    /// shares the one tracker, and every mapped site is registered up
+    /// front so fair-share floors also cover sites the query has not
+    /// reached yet. Detaching also drops the budgeted run's resume
+    /// state: its completed positions and every navigator's journal.
+    pub fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
+        match &budget {
+            Some(tracker) => {
+                for site in &self.shape.sites {
+                    tracker.register_site(&site.map.site);
+                }
+            }
+            None => self.positions.clear(),
         }
         for nav in self.built() {
             nav.set_budget(budget.clone());
         }
-        self.budget = Some(budget);
+        self.budget = budget;
     }
 
     pub fn budget(&self) -> Option<&Arc<BudgetTracker>> {
@@ -406,14 +409,14 @@ impl VpsCatalog {
         &self.obs
     }
 
-    /// Attach a cancellation token: every navigator polls it at its
-    /// budget checkpoints, so a cancel lands before the next page
-    /// request rather than mid-navigation.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
+    /// Attach a cancellation token, or detach it with `None`: every
+    /// navigator polls it at its budget checkpoints, so a cancel lands
+    /// before the next page request rather than mid-navigation.
+    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
         for nav in self.built() {
             nav.set_cancel(cancel.clone());
         }
-        self.cancel = Some(cancel);
+        self.cancel = cancel;
     }
 
     /// Attach the multi-query engine's shared answer memos: `memo` for
@@ -933,7 +936,7 @@ mod tests {
         use webbase_navigation::budget::QueryBudget;
         let (mut cat, _) = catalog();
         let tracker = Arc::new(BudgetTracker::new(QueryBudget::unlimited()));
-        cat.set_budget(tracker.clone());
+        cat.set_budget(Some(tracker.clone()));
         let spec = AccessSpec::new().with("make", "ford");
         cat.fetch("newsday", &spec).expect("fetches");
         assert_eq!(cat.positions().len(), 1);
@@ -1016,7 +1019,7 @@ mod tests {
         let tracker = Arc::new(BudgetTracker::new(QueryBudget::unlimited()));
         let mut cat = VpsCatalog::over(shape.clone(), PageStore::new(), None);
         cat.set_obs(Obs::metrics_only(registry.clone()));
-        cat.set_budget(tracker.clone());
+        cat.set_budget(Some(tracker.clone()));
         let listed: BTreeSet<String> = tracker.snapshot().sites.into_keys().collect();
         assert_eq!(
             listed.iter().map(String::as_str).collect::<BTreeSet<_>>(),
@@ -1030,7 +1033,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let mut cat = VpsCatalog::over(shape, PageStore::new(), None);
-        cat.set_cancel(cancel);
+        cat.set_cancel(Some(cancel));
         let before = web.total_stats().requests;
         let _ = cat.fetch("newsday", &AccessSpec::new().with(FORD.0, FORD.1));
         assert_eq!(cat.built_hosts(), ["www.newsday.com"]);
@@ -1110,7 +1113,7 @@ mod tests {
         // A budgeted session neither reads nor fills the level.
         let (shape, _, _) = fixture();
         let (mut cat, _) = shared_session(&shape, &memo, &logical);
-        cat.set_budget(Arc::new(BudgetTracker::new(QueryBudget::unlimited())));
+        cat.set_budget(Some(Arc::new(BudgetTracker::new(QueryBudget::unlimited()))));
         cat.derived(&ADS.into(), &spec, false, |vps| vps.fetch("newsday", &spec)).expect("fetches");
         assert_eq!((logical.hits(), logical.misses(), logical.len()), (0, 0, 0));
 

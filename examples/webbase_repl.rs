@@ -54,7 +54,7 @@ fn main() {
             ".quit" | ".exit" => break,
             ".attrs" => println!("{}\n", wb.ur_attributes().join(", ")),
             ".hierarchy" => {
-                println!("{}", wb.planner().hierarchy.render(&wb.ur_attributes()));
+                println!("{}", wb.planner().hierarchy.render(wb.ur_attributes()));
             }
             ".objects" => {
                 let objects = maximal_objects(&wb.planner().hierarchy, &wb.planner().rules);

@@ -578,3 +578,36 @@ fn hostile_queries_and_selects_answer_or_fail_cleanly_never_panic() {
     }
     assert!(answered > 0, "no mutated SELECT answered");
 }
+
+// ── hostile resume tokens: a seeded mutation battery ──────────────────
+
+/// Mutated resume tokens parsed per seed, and the parsed ones resumed
+/// (up to the cap), each on a fresh webbase.
+const TOKEN_INPUTS: usize = 2000;
+const TOKEN_RESUMES: usize = 300;
+
+#[test]
+fn hostile_resume_tokens_resume_or_fail_cleanly_never_panic() {
+    use webbase_logical::{parse_resume, render_resume};
+    let fresh = || webbase::Webbase::build_demo(seed(), 400, LatencyModel::lan());
+    let budget = QueryBudget::unlimited().with_fetch_quota(6);
+    let out = fresh().query_with(JAGUAR_QUERY, QueryOptions::budgeted(budget)).expect("runs");
+    let token = render_resume(out.plan.resume.as_ref().expect("quota 6 interrupts the query"));
+    let mut rng = GenRng::new(seed() ^ 0x7a4e_5eed);
+    let (mut parsed, mut resumed) = (0usize, 0usize);
+    for _ in 0..TOKEN_INPUTS {
+        let text = String::from_utf8_lossy(&mutate(&mut rng, token.as_bytes())).into_owned();
+        let Ok(hostile) = never_panics("parse_resume", &text, || parse_resume(&text)) else {
+            continue;
+        };
+        parsed += 1;
+        if resumed < TOKEN_RESUMES {
+            resumed += 1;
+            // Ok or Err, never a panic.
+            let _ = never_panics("resume", &text, || {
+                fresh().query_with(JAGUAR_QUERY, QueryOptions::resuming(hostile))
+            });
+        }
+    }
+    assert!(parsed > 0 && resumed > 0, "no mutated token parsed ({parsed}) or resumed ({resumed})");
+}

@@ -16,7 +16,7 @@ use common::{
 };
 use std::collections::BTreeSet;
 use std::time::Duration;
-use webbase::{LatencyModel, Metric, Obs, SpanKind};
+use webbase::{LatencyModel, Metric, Obs, QueryOptions, SpanKind};
 use webbase_logical::{BudgetDenial, QueryBudget};
 use webbase_webworld::faults::{
     DelayedSite, DriftingSite, ExpiringSessionSite, FlakySite, StallingSite, TruncatingSite,
@@ -116,9 +116,10 @@ fn stalling_sites_under_a_deadline_yield_sound_partials_and_a_token() {
             Box::new(StallingSite::new(s, 5, Duration::from_secs(120))) as Box<dyn Site>
         });
         let budget = QueryBudget::unlimited().with_deadline(Duration::from_secs(45));
-        let (partial, plan) =
-            wb.query_with_budget(JAGUAR_QUERY, budget).expect("deadline exhaustion must not abort");
-        (partial, plan)
+        let out = wb
+            .query_with(JAGUAR_QUERY, QueryOptions::budgeted(budget))
+            .expect("deadline exhaustion must not abort");
+        (out.relation, out.plan)
     };
     let (partial, plan) = run();
     assert!(subset(&partial, &jag_full), "fabricated answers under the deadline");
@@ -132,7 +133,7 @@ fn stalling_sites_under_a_deadline_yield_sound_partials_and_a_token() {
     // partial answers and an identical spend.
     let (partial2, plan2) = run();
     assert_eq!(partial, partial2, "partials must be a pure function of the seed");
-    assert_eq!(snap.fetches, plan2.budget.expect("snapshot").fetches);
+    assert_eq!(snap.fetches, plan2.budget.as_ref().expect("snapshot").fetches);
 }
 
 #[test]
@@ -152,11 +153,13 @@ fn expiring_sessions_under_a_deadline_yield_sound_partials() {
         }
     });
     let budget = QueryBudget::unlimited().with_deadline(Duration::from_secs(3));
-    let (partial, plan) =
-        wb.query_with_budget(FORD_QUERY, budget).expect("expiring sessions must not abort");
-    assert!(subset(&partial, &ford_full), "fabricated answers under the deadline");
+    let out = wb
+        .query_with(FORD_QUERY, QueryOptions::budgeted(budget))
+        .expect("expiring sessions must not abort");
+    let (partial, plan) = (&out.relation, &out.plan);
+    assert!(subset(partial, &ford_full), "fabricated answers under the deadline");
     assert!(partial.len() < ford_full.len(), "the delayed newsday chain cannot finish in 3s");
-    let snap = plan.budget.expect("budgeted runs carry a snapshot");
+    let snap = plan.budget.as_ref().expect("budgeted runs carry a snapshot");
     assert_eq!(snap.exhausted, Some(BudgetDenial::DeadlineExceeded));
     assert!(!plan.degradation.is_clean(), "the shortfall must be reported");
 }
@@ -176,11 +179,13 @@ fn session_replays_are_charged_to_the_owning_site_quota() {
         }
     });
     let budget = QueryBudget::unlimited().with_site_quota(4);
-    let (partial, plan) =
-        wb.query_with_budget(FORD_QUERY, budget).expect("site quota must not abort");
-    assert!(subset(&partial, &ford_full), "fabricated answers under the site quota");
+    let out = wb
+        .query_with(FORD_QUERY, QueryOptions::budgeted(budget))
+        .expect("site quota must not abort");
+    let partial = &out.relation;
+    assert!(subset(partial, &ford_full), "fabricated answers under the site quota");
     assert!(partial.len() < ford_full.len(), "newsday's replaying chain cannot fit in 4 fetches");
-    let snap = plan.budget.expect("budgeted runs carry a snapshot");
+    let snap = out.plan.budget.as_ref().expect("budgeted runs carry a snapshot");
     for (host, spend) in &snap.sites {
         assert!(spend.fetches <= 4, "{host} overspent its site quota: {}", spend.fetches);
     }
@@ -245,8 +250,9 @@ const FORD_ALL: &str = "SELECT make, model, year, price WHERE make=ford";
 #[test]
 fn metrics_counters_cross_check_the_degradation_report() {
     let mut wb = faulty_webbase(|_h, s| Box::new(FlakySite::new(s, 7)) as Box<dyn Site>);
-    let (result, plan, obs) = wb.query_traced(JAGUAR_QUERY).expect("flaky traced query");
-    assert!(!result.is_empty());
+    let out = wb.query_with(JAGUAR_QUERY, QueryOptions::traced()).expect("flaky traced query");
+    assert!(!out.relation.is_empty());
+    let (plan, obs) = (&out.plan, out.observation.as_ref().expect("traced runs are observed"));
     let m = &obs.metrics;
     let deg = &plan.degradation;
     assert!(deg.total_retries() > 0, "a flaky web must force retries for this test to bite");
@@ -279,13 +285,11 @@ fn metrics_counters_cross_check_the_degradation_report() {
 #[test]
 fn budget_denials_in_the_degradation_report_match_the_counter() {
     let mut wb = healthy_webbase();
-    let obs = Obs::full();
-    wb.layer.vps.set_obs(obs.clone());
-    let budget = QueryBudget::unlimited().with_fetch_quota(10);
-    let (_, plan) = wb.query_with_budget(FORD_QUERY, budget).expect("quota must not abort");
-    let trace = obs.sink.finish();
-    let m = obs.metrics.as_ref().expect("full obs carries a registry").snapshot();
-    wb.layer.vps.set_obs(Obs::none());
+    let budget = Some(QueryBudget::unlimited().with_fetch_quota(10));
+    let options = QueryOptions { budget, trace: true, ..QueryOptions::default() };
+    let out = wb.query_with(FORD_QUERY, options).expect("quota must not abort");
+    let (plan, obs) = (&out.plan, out.observation.as_ref().expect("traced runs are observed"));
+    let (trace, m) = (&obs.trace, &obs.metrics);
 
     let deg_denied: u64 = plan.degradation.sites.values().map(|s| s.budget_denied).sum();
     assert!(deg_denied > 0, "a quota of 10 must deny fetches for this test to bite");

@@ -34,7 +34,7 @@ fn map_builder_statistics_shape() {
 #[test]
 fn timing_table_reproduces_the_papers_shape() {
     let wb = Webbase::build_demo(11, 600, LatencyModel::dialup_1999());
-    let rows = serial_timing(&wb, "ford", "escort");
+    let (rows, _) = serial_timing(&wb, "ford", "escort", None);
     assert_eq!(rows.len(), 10);
     // Shape checks, not absolute numbers:
     // 1. Every site answers with at least one page fetched.

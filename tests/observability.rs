@@ -13,7 +13,7 @@ use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use webbase::{LatencyModel, MetricsRegistry, Obs, QueryTrace, Webbase, METRICS};
+use webbase::{LatencyModel, MetricsRegistry, Obs, QueryOptions, QueryTrace, Webbase, METRICS};
 use webbase_logical::QueryBudget;
 use webbase_obs::{SpanKind, TraceSink, QUERY_TRACK};
 
@@ -63,9 +63,10 @@ proptest! {
     #[test]
     fn traced_queries_produce_well_formed_span_trees(seed in 1u64..=100) {
         let mut wb = Webbase::build_demo(seed, 400, LatencyModel::lan());
-        let (_, _, obs) =
-            wb.query_traced("UsedCarUR(make='ford', model='escort', year, price)")
-                .expect("traced query runs");
+        let out = wb
+            .query_with("UsedCarUR(make='ford', model='escort', year, price)", QueryOptions::traced())
+            .expect("traced query runs");
+        let obs = out.observation.expect("a traced run returns its observation");
         assert_well_formed(&obs.trace)?;
         // Rendering is total and agrees with the span count.
         prop_assert_eq!(obs.trace.render_jsonl().lines().count(), obs.trace.spans.len());
@@ -115,17 +116,16 @@ proptest! {
         let registry = Arc::new(MetricsRegistry::new());
         wb.layer.vps.set_obs(Obs::metrics_only(registry.clone()));
         let q = "UsedCarUR(make='ford', price)";
-        let (_, plan) = wb
-            .query_with_budget(q, QueryBudget::unlimited().with_fetch_quota(quota))
-            .expect("budgeted query runs");
-        let mut token = plan.resume;
+        let budget = QueryBudget::unlimited().with_fetch_quota(quota);
+        let out = wb.query_with(q, QueryOptions::budgeted(budget)).expect("budgeted query runs");
+        let mut token = out.plan.resume.clone();
         prop_assert!(token.is_some(), "quota {quota} must not finish the ford query");
         let mut prev = registry.snapshot();
         let mut rounds = 0;
         while let Some(t) = token {
             rounds += 1;
             prop_assert!(rounds < 100, "resume loop failed to converge");
-            let (_, p) = wb.resume(q, &t).expect("resumes");
+            let out = wb.query_with(q, QueryOptions::resuming(t)).expect("resumes");
             let snap = registry.snapshot();
             for m in METRICS {
                 prop_assert!(
@@ -141,7 +141,7 @@ proptest! {
                 "latency observations regressed"
             );
             prev = snap;
-            token = p.resume;
+            token = out.plan.resume.clone();
         }
     }
 }

@@ -13,6 +13,7 @@
 mod common;
 
 use common::{faulty_webbase, healthy_webbase, subset, JAGUAR_QUERY};
+use webbase::QueryOptions;
 use webbase_logical::{parse_resume, render_resume, QueryBudget};
 use webbase_webworld::faults::ExpiringSessionSite;
 use webbase_webworld::server::Site;
@@ -41,13 +42,15 @@ fn exhausted_queries_never_error_and_account_for_every_denial() {
 
     for quota in [0u64, 1, 3, 7, 15] {
         let mut wb = healthy_webbase();
-        let (partial, plan) = wb
-            .query_with_budget(JAGUAR_QUERY, QueryBudget::unlimited().with_fetch_quota(quota))
+        let budget = QueryBudget::unlimited().with_fetch_quota(quota);
+        let out = wb
+            .query_with(JAGUAR_QUERY, QueryOptions::budgeted(budget))
             .unwrap_or_else(|e| panic!("quota {quota}: exhaustion surfaced as an error: {e}"));
-        assert!(subset(&partial, &full), "quota {quota}: fabricated tuples");
+        let (partial, plan) = (&out.relation, &out.plan);
+        assert!(subset(partial, &full), "quota {quota}: fabricated tuples");
         assert!(partial.len() < full.len(), "quota {quota} cannot complete the jaguar query");
 
-        let snap = plan.budget.expect("budgeted runs must carry a spend snapshot");
+        let snap = plan.budget.as_ref().expect("budgeted runs must carry a spend snapshot");
         assert!(snap.fetches <= quota, "quota {quota}: overspent ({} fetches)", snap.fetches);
         assert!(snap.exhausted.is_some(), "quota {quota}: the shortfall must be flagged");
         assert!(!snap.starved_sites().is_empty(), "quota {quota}: someone must be starved");
@@ -61,7 +64,7 @@ fn exhausted_queries_never_error_and_account_for_every_denial() {
         assert!(!plan.degradation.is_clean(), "quota {quota}");
 
         // The resume token journals exactly the admitted fetches.
-        let token = plan.resume.expect("exhausted runs must emit a resume token");
+        let token = plan.resume.as_ref().expect("exhausted runs must emit a resume token");
         assert_eq!(token.journal.len() as u64, snap.fetches, "quota {quota}");
         assert_eq!(token.spent_fetches, snap.fetches, "quota {quota}");
     }
@@ -79,13 +82,15 @@ fn a_token_captured_mid_more_chain_resumes_to_the_full_answer_fetch_free() {
     // the token is captured mid-pagination.
     let mut wb = healthy_webbase();
     let before = wb.web().total_stats().requests;
-    let (partial, plan) = wb
-        .query_with_budget(FORD_QUERY, QueryBudget::unlimited().with_fetch_quota(6))
+    let budget = QueryBudget::unlimited().with_fetch_quota(6);
+    let out = wb
+        .query_with(FORD_QUERY, QueryOptions::budgeted(budget))
         .expect("budget exhaustion must not be an error");
     let mut spent = (wb.web().total_stats().requests - before) as usize;
+    let partial = out.relation;
     assert!(subset(&partial, &full), "fabricated partial tuples");
     assert!(partial.len() < full.len(), "quota 6 must interrupt the run");
-    let token = plan.resume.expect("an interrupted run must emit a token");
+    let token = out.plan.resume.clone().expect("an interrupted run must emit a token");
     assert!(!token.journal.is_empty());
 
     // The token round-trips through the F-logic fact format exactly.
@@ -104,22 +109,24 @@ fn a_token_captured_mid_more_chain_resumes_to_the_full_answer_fetch_free() {
         assert!(rounds < 100, "resume must converge");
         let mut next = healthy_webbase();
         let before = next.web().total_stats().requests;
-        let (r, plan) = next.resume(FORD_QUERY, &t).expect("resume must not fail");
+        let journalled = t.journal.len();
+        let out =
+            next.query_with(FORD_QUERY, QueryOptions::resuming(t)).expect("resume must not fail");
         let round_spent = (next.web().total_stats().requests - before) as usize;
         // Zero re-fetches of journalled pages: this round's network spend
         // plus the pages already paid for never exceeds the unbounded bill.
         assert!(
-            round_spent + t.journal.len() <= full_requests,
-            "journalled pages were re-fetched: {round_spent} new + {} journalled > {full_requests}",
-            t.journal.len()
+            round_spent + journalled <= full_requests,
+            "journalled pages were re-fetched: {round_spent} new + {journalled} journalled > \
+             {full_requests}"
         );
         spent += round_spent;
-        assert!(subset(&r, &full), "fabricated resumed tuples");
-        result = r;
-        if let Some(nt) = &plan.resume {
-            assert!(nt.journal.len() > t.journal.len(), "the journal must strictly grow");
+        assert!(subset(&out.relation, &full), "fabricated resumed tuples");
+        result = out.relation;
+        if let Some(nt) = &out.plan.resume {
+            assert!(nt.journal.len() > journalled, "the journal must strictly grow");
         }
-        token = plan.resume;
+        token = out.plan.resume.clone();
     }
     assert_eq!(result, full, "partial + resumed must equal the unbounded answer");
     assert!(rounds >= 2, "quota 6 must take several rounds on the ford chain");
@@ -133,12 +140,14 @@ fn a_token_captured_mid_session_replay_round_trips_and_resumes() {
     assert!(!full.is_empty(), "seed must produce ford answers");
 
     let mut wb = faulty_webbase(expiring_newsday);
-    let (partial, plan) = wb
-        .query_with_budget(FORD_QUERY, QueryBudget::unlimited().with_fetch_quota(8))
+    let budget = QueryBudget::unlimited().with_fetch_quota(8);
+    let out = wb
+        .query_with(FORD_QUERY, QueryOptions::budgeted(budget))
         .expect("budgeted run against expiring sessions must not abort");
+    let partial = out.relation;
     assert!(subset(&partial, &full), "fabricated partial tuples");
     assert!(partial.len() < full.len(), "quota 8 must interrupt the replaying chain");
-    let token = plan.resume.expect("an interrupted run must emit a token");
+    let token = out.plan.resume.clone().expect("an interrupted run must emit a token");
 
     // Session recovery journals the stale fetch and its replayed
     // replacement; the duplicate keys must survive the round-trip.
@@ -152,10 +161,11 @@ fn a_token_captured_mid_session_replay_round_trips_and_resumes() {
         rounds += 1;
         assert!(rounds < 100, "resume must converge");
         let mut next = faulty_webbase(expiring_newsday);
-        let (r, plan) = next.resume(FORD_QUERY, &t).expect("resume must not fail");
-        assert!(subset(&r, &full), "fabricated resumed tuples");
-        result = r;
-        token = plan.resume;
+        let out =
+            next.query_with(FORD_QUERY, QueryOptions::resuming(t)).expect("resume must not fail");
+        assert!(subset(&out.relation, &full), "fabricated resumed tuples");
+        result = out.relation;
+        token = out.plan.resume.clone();
     }
     assert_eq!(result, full, "resume must recover the whole replayed chain");
 }
@@ -166,8 +176,8 @@ fn fair_share_spreads_a_tight_quota_across_sites() {
     let run = |fair: bool| {
         let mut wb = healthy_webbase();
         let budget = QueryBudget::unlimited().with_fetch_quota(13).with_fair_share(fair);
-        let (partial, plan) = wb.query_with_budget(FORD_QUERY, budget).expect("budgeted run");
-        (partial, plan.budget.expect("snapshot"))
+        let out = wb.query_with(FORD_QUERY, QueryOptions::budgeted(budget)).expect("budgeted run");
+        (out.relation, out.plan.budget.clone().expect("snapshot"))
     };
     let (p_fair, s_fair) = run(true);
     let (p_greedy, s_greedy) = run(false);
@@ -192,6 +202,27 @@ fn fair_share_spreads_a_tight_quota_across_sites() {
         max_fair <= max_greedy,
         "fair share must cap the greediest site: {max_fair} vs {max_greedy}"
     );
+}
+
+#[test]
+fn a_plain_query_after_a_budgeted_one_on_one_webbase_is_complete() {
+    // A budgeted run's tracker (and its cancel token and trace handle)
+    // lasts for that run only: the next plain run on the same session
+    // spends against no quota and answers in full.
+    let mut wb = healthy_webbase();
+    for text in [JAGUAR_QUERY, FORD_QUERY] {
+        let (expected, _) = healthy_webbase().query(text).expect("fresh run");
+        let budget = QueryBudget::unlimited().with_fetch_quota(3);
+        let out = wb.query_with(text, QueryOptions::budgeted(budget)).expect("budgeted run");
+        assert!(out.plan.resume.is_some(), "quota 3 must interrupt {text}");
+        let (plain, plan) = wb.query(text).expect("plain run");
+        assert!(plan.degradation.is_clean(), "{text}:\n{}", plan.degradation.render());
+        assert!(
+            plan.budget.is_none() && plan.resume.is_none(),
+            "{text}: a budget outlived its run"
+        );
+        assert_eq!(plain, expected, "{text}: the plain run after a budgeted one is partial");
+    }
 }
 
 // ---------------------------------------------------------------------
